@@ -14,6 +14,7 @@ from typing import Iterator, Sequence
 from .fields import Field, GF
 from .linalg import (
     DEFAULT_ELEMENT_CAP,
+    EnumerationCapExceeded,
     Subspace,
     enumerate_vectors,
     index_to_vector,
@@ -176,6 +177,8 @@ class Algebra:
     def element_list(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         if self._elements is None:
             self._elements = tuple(self.elements(cap))
+        elif len(self._elements) > cap:
+            raise EnumerationCapExceeded(len(self._elements), cap)
         return self._elements
 
     def index_of(self, v: Sequence) -> int:
@@ -255,6 +258,8 @@ class Algebra:
                 if self.multiply(a, a) == a:
                     found.append(a)
             self._idempotents = tuple(found)
+        elif self.element_count() > cap:
+            raise EnumerationCapExceeded(self.element_count(), cap)
         return self._idempotents
 
     def is_nilpotent(self, a: Sequence) -> bool:

@@ -151,6 +151,8 @@ def cmd_is_mathieu(args):
                                     method=args.method, cap=args.cap)
         field = module.field
     else:
+        if args.wrt is not None:
+            raise SchemaError("--wrt needs --module")
         algebra = _load_algebra(args)
         j = _load_subspace(args, algebra.field)
         if args.method == "brute":

@@ -21,7 +21,6 @@ from .linalg import (
     Subspace,
     enumerate_subspaces,
     enumerate_vectors,
-    vector_count,
 )
 from .modules import ModuleSpace
 
@@ -70,9 +69,12 @@ class ElementSet:
         return len(self.members)
 
     def __eq__(self, other):
-        if isinstance(other, ElementSet):
-            return self.members == other.members and self.ambient_dim == other.ambient_dim
-        return NotImplemented
+        """Explicit sets compare by members; a capped set equals only itself."""
+        if not isinstance(other, ElementSet):
+            return NotImplemented
+        if self.members is None or other.members is None:
+            return self is other
+        return self.members == other.members and self.ambient_dim == other.ambient_dim
 
     def to_json(self):
         if self.members is None:
@@ -333,10 +335,11 @@ def _mathieu_bool(algebra: Algebra, j: Subspace, theta: str, method: str,
     key = ("mathieu", method, theta, j.basis)
     memo = algebra._memo
     if key not in memo:
-        if method == "brute":
-            memo[key] = is_theta_mathieu_bruteforce(algebra, j, theta, cap).is_mathieu
-        else:
-            memo[key] = is_theta_mathieu_idempotent(algebra, j, theta, cap).is_mathieu
+        decide = is_theta_mathieu_bruteforce if method == "brute" else is_theta_mathieu_idempotent
+        memo[key] = decide(algebra, j, theta, cap).is_mathieu
+    elif algebra.element_count() > cap:
+        # a cold decision enumerates the algebra and would refuse
+        raise EnumerationCapExceeded(algebra.element_count(), cap)
     return memo[key]
 
 
@@ -352,35 +355,42 @@ def is_module_mathieu(module: ModuleSpace, n_space: Subspace, u: Sequence, theta
     return is_theta_mathieu_idempotent(module.algebra, j, theta, cap)
 
 
+def stable_sets(module: ModuleSpace, n_space: Subspace, cap: int, verdict,
+                note: str | None = None) -> ElementSet:
+    """Elements u whose colon space (N:u) passes `verdict`.
+
+    The verdict runs once per distinct colon space of N (`ColonClasses`), not
+    once per element; members follow `enumerate_vectors` order.  Over Q or
+    beyond the cap the set is a membership predicate through the same
+    class map.
+    """
+    classes = module.colon_classes(n_space)
+    index = classes.member_index(cap)
+    if index is None:
+        return ElementSet(module.field, module.dim, note=note,
+                          predicate=lambda u: verdict(classes.colon(u)))
+    passed = [verdict(j) for j in classes.colons]
+    members = [u for u, k in zip(enumerate_vectors(module.field, module.dim, cap), index)
+               if passed[k]]
+    return ElementSet(module.field, module.dim, members=members, note=note)
+
+
 def sigma(module: ModuleSpace, n_space: Subspace, theta: str,
           cap: int = DEFAULT_ELEMENT_CAP) -> ElementSet:
     """Elements u with (N:u) a theta-ideal."""
     theta = normalize_theta(theta)
-    module._check_subspace(n_space)
-    note = PRE_NOTE if theta == "pre" else None
-
-    def member(u):
-        return _ideal_bool(module.algebra, module.colon_cached(n_space, u), theta)
-
-    if module.field.is_rational or vector_count(module.field, module.dim) > cap:
-        return ElementSet(module.field, module.dim, predicate=member, note=note)
-    members = [u for u in enumerate_vectors(module.field, module.dim, cap) if member(u)]
-    return ElementSet(module.field, module.dim, members=members, note=note)
+    return stable_sets(module, n_space, cap, lambda j: _ideal_bool(module.algebra, j, theta),
+                       note=PRE_NOTE if theta == "pre" else None)
 
 
 def tau(module: ModuleSpace, n_space: Subspace, theta: str,
         cap: int = DEFAULT_ELEMENT_CAP, method: str = "idem") -> ElementSet:
-    """Elements u with (N:u) a theta-Mathieu subspace."""
+    """Elements u with (N:u) a theta-Mathieu subspace (finite fields only)."""
     theta = normalize_theta(theta)
-    module._check_subspace(n_space)
-
-    def member(u):
-        return _mathieu_bool(module.algebra, module.colon_cached(n_space, u), theta, method, cap)
-
-    if module.field.is_rational or vector_count(module.field, module.dim) > cap:
-        return ElementSet(module.field, module.dim, predicate=member)
-    members = [u for u in enumerate_vectors(module.field, module.dim, cap) if member(u)]
-    return ElementSet(module.field, module.dim, members=members)
+    if module.field.is_rational:
+        raise ValueError("tau needs a finite field: the Mathieu deciders enumerate the algebra")
+    return stable_sets(module, n_space, cap,
+                       lambda j: _mathieu_bool(module.algebra, j, theta, method, cap))
 
 
 # -- stability of modules and algebras ----------------------------------------------

@@ -13,6 +13,7 @@ from .algebras import Algebra, opposite
 from .fields import Field
 from .linalg import (
     Subspace,
+    enumerate_vectors,
     identity_matrix,
     image_subspace,
     mat_mul,
@@ -23,8 +24,12 @@ from .linalg import (
     subspace_intersect,
     vec_add,
     vec_scale,
+    vector_count,
     zero_vector,
 )
+
+# Subspaces N whose colon classes one module keeps; the oldest N goes first.
+COLON_CACHE_SIZE = 256
 
 
 class ModuleAxiomError(ValueError):
@@ -49,7 +54,7 @@ class ModuleSpace:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ModuleAxiomError(f"action matrix {i} is not {self.dim} x {self.dim}")
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
-        self._colon_cache: dict = {}
+        self._colon_classes: dict = {}
         if check:
             self._validate()
 
@@ -115,16 +120,21 @@ class ModuleSpace:
             ))
         return solve_right_kernel(field, rows, self.algebra.dim)
 
-    def colon_cached(self, n_space: Subspace, u: Sequence) -> Subspace:
-        key = (n_space.basis, tuple(u))
-        cache = self._colon_cache
-        hit = cache.get(key)
+    def colon_classes(self, n_space: Subspace) -> "ColonClasses":
+        """The colon spaces of N, one per class of u; kept for the last
+        COLON_CACHE_SIZE subspaces N."""
+        self._check_subspace(n_space)
+        cache = self._colon_classes
+        hit = cache.get(n_space.basis)
         if hit is None:
-            hit = self.colon(n_space, u)
-            if len(cache) > 200000:
-                cache.clear()
-            cache[key] = hit
+            if len(cache) >= COLON_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            hit = cache[n_space.basis] = ColonClasses(self, n_space)
         return hit
+
+    def colon_cached(self, n_space: Subspace, u: Sequence) -> Subspace:
+        """(N:u), computed once per class of u (see ColonClasses)."""
+        return self.colon_classes(n_space).colon(u)
 
     def inverse_image(self, a: Sequence, n_space: Subspace) -> Subspace:
         """{v in M : a.v in N}."""
@@ -195,6 +205,59 @@ def _dot(field: Field, u, v):
         if x and y:
             acc = add(acc, mul(x, y))
     return acc
+
+
+class ColonClasses:
+    """(N:u) for every module element u, computed once per class of u.
+
+    (N:cu) = (N:u) for a scalar c != 0, and (N:u+v) = (N:u) for v in the
+    largest submodule V inside N.  So u is reduced modulo V and scaled until
+    its first nonzero coordinate is 1, and only that representative's colon
+    space is computed.  `colons` lists the distinct colon spaces met so far.
+    """
+
+    def __init__(self, module: ModuleSpace, n_space: Subspace):
+        self.module = module
+        self.n_space = n_space
+        self.submodule = module.max_submodule(n_space)
+        self.colons: list = []
+        self._by_basis: dict = {}  # colon basis -> position in colons
+        self._by_class: dict = {}  # class representative -> position in colons
+        self._member_index: list | None = None
+
+    def representative(self, u: Sequence) -> tuple:
+        field = self.module.field
+        v = self.submodule.reduce(u)
+        for x in v:
+            if x:
+                return v if x == field.one else vec_scale(field, field.inv(x), v)
+        return v
+
+    def index(self, u: Sequence) -> int:
+        """Position of (N:u) in `colons`."""
+        rep = self.representative(u)
+        pos = self._by_class.get(rep)
+        if pos is None:
+            colon = self.module.colon(self.n_space, rep)
+            pos = self._by_basis.get(colon.basis)
+            if pos is None:
+                pos = self._by_basis[colon.basis] = len(self.colons)
+                self.colons.append(colon)
+            self._by_class[rep] = pos
+        return pos
+
+    def colon(self, u: Sequence) -> Subspace:
+        return self.colons[self.index(u)]
+
+    def member_index(self, cap: int) -> list | None:
+        """`index(u)` for every u in `enumerate_vectors` order, or None when
+        the module is over Q or has more than `cap` elements."""
+        field, dim = self.module.field, self.module.dim
+        if field.is_rational or vector_count(field, dim) > cap:
+            return None
+        if self._member_index is None:
+            self._member_index = [self.index(u) for u in enumerate_vectors(field, dim, cap)]
+        return self._member_index
 
 
 class ModuleHom:

@@ -312,3 +312,32 @@ def test_max_submodule_and_radical_cli(tmp_path, capsys):
                            "--subspace", str(line))
     assert code == 0
     assert json.loads(out)["result"]["members"] == [[0, 0], [0, 1]]
+
+
+def test_is_mathieu_wrt_without_module_is_a_usage_error(tmp_path, capsys):
+    alg_path = tmp_path / "m2f2.json"
+    run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"ambient": 4, "basis": [[1, 0, 0, 0]]}))
+    code, out, err = run_cli(capsys, "is-mathieu", "--algebra", str(alg_path),
+                             "--subspace", str(line), "--wrt", "[0, 1, 0, 0]")
+    assert code == 2
+    assert out == ""
+    assert "--wrt needs --module" in err
+
+
+def test_tau_over_q_exits_two_without_traceback(tmp_path, capsys):
+    alg_path = tmp_path / "m2q.json"
+    alg_path.write_text(json.dumps(algebra_to_json(matrix_algebra(2, QQ))))
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"ambient": 4, "basis": [[1, 0, 0, 0]]}))
+    code, out, err = run_cli(capsys, "tau", "--algebra", str(alg_path),
+                             "--subspace", str(line))
+    assert code == 2
+    assert out == ""
+    assert "finite field" in err and "Traceback" not in err
+    # sigma over Q stays a membership predicate
+    code, out, _ = run_cli(capsys, "sigma", "--algebra", str(alg_path),
+                           "--subspace", str(line))
+    assert code == 0
+    assert json.loads(out)["result"] == {"capped": True}

@@ -2,8 +2,11 @@
 spans, colon spaces, ideal tests and the Mathieu property, diffed against the
 library's linear-algebra implementations on small instances.
 
-Nothing here touches Subspace, kernels or echelon forms: subspaces are plain
-Python sets built by additive closure and every quantifier is a raw scan.
+Nothing in the raw reimplementation touches Subspace, kernels or echelon
+forms: subspaces are plain Python sets built by additive closure and every
+quantifier is a raw scan.  The per-element oracle for sigma/tau further down
+does use the library's colon spaces and deciders, but computes one colon
+space and one decision per element, with no caches and no class reduction.
 """
 
 import itertools
@@ -15,8 +18,8 @@ from mathieuspaces.algebras import (
     truncated_poly,
     upper_triangular,
 )
-from mathieuspaces.fields import GF
-from mathieuspaces.linalg import Subspace
+from mathieuspaces.fields import GF, QQ
+from mathieuspaces.linalg import Subspace, enumerate_vectors, solve_right_kernel
 from mathieuspaces.mathieu import (
     is_theta_ideal,
     is_theta_mathieu_bruteforce,
@@ -24,7 +27,8 @@ from mathieuspaces.mathieu import (
     sigma,
     tau,
 )
-from mathieuspaces.modules import column_module, natural_module
+from mathieuspaces.modules import ModuleSpace, column_module, natural_module
+from mathieuspaces.verify import Profile, _module_zoo, _random_subspace
 
 THETAS = ("left", "right", "pre", "two")
 
@@ -173,3 +177,89 @@ def test_stable_sets_against_raw_scans():
                         raw_tau.add(u)
                 assert set(sigma(module, n_space, theta)) == raw_sigma
                 assert set(tau(module, n_space, theta)) == raw_tau
+
+
+def per_element_oracle(module, n_space, theta):
+    """sigma and tau of N, one colon space and one decision per element."""
+    algebra = module.algebra
+    raw_sigma, raw_tau = [], []
+    for u in enumerate_vectors(module.field, module.dim):
+        j = module.colon(n_space, u)
+        if is_theta_ideal(algebra, j, theta):
+            raw_sigma.append(u)
+        if is_theta_mathieu_idempotent(algebra, j, theta).is_mathieu:
+            raw_tau.append(u)
+    return raw_sigma, raw_tau
+
+
+def test_class_built_sets_against_the_per_element_oracle():
+    rng = random.Random(419)
+    for module in _module_zoo(Profile(primes=(2, 3))):
+        for _ in range(4):
+            n_space = _random_subspace(rng, module.field, module.dim)
+            for theta in THETAS:
+                want_sigma, want_tau = per_element_oracle(module, n_space, theta)
+                assert list(sigma(module, n_space, theta)) == want_sigma
+                assert list(tau(module, n_space, theta)) == want_tau
+                # the capped predicate goes through the same class map
+                lazy = sigma(module, n_space, theta, cap=1)
+                assert not lazy.is_explicit
+                assert [u for u in enumerate_vectors(module.field, module.dim)
+                        if u in lazy] == want_sigma
+
+
+def test_class_built_sigma_over_q_against_the_per_element_oracle():
+    rng = random.Random(421)
+    module = natural_module(matrix_algebra(2, QQ))
+    algebra = module.algebra
+
+    def rand_vec():
+        return tuple(QQ.parse_scalar(f"{rng.randrange(-3, 4)}/{rng.randrange(1, 3)}")
+                     for _ in range(module.dim))
+
+    column_ideal = [(1, 0, 0, 0), (0, 0, 1, 0)]  # matrices zero off column one
+    for k in range(6):
+        gens = [rand_vec() for _ in range(rng.randrange(1, 3))]
+        n_space = Subspace(QQ, module.dim, gens + (column_ideal if k % 2 else []))
+        inside = module.max_submodule(n_space)
+        assert inside.dim >= 2 * (k % 2)
+        for theta in THETAS:
+            lazy = sigma(module, n_space, theta)
+            for _ in range(6):
+                u = rand_vec()
+                # scalar multiples and shifts by the largest submodule share a class
+                c = QQ.parse_scalar(f"{rng.choice((-2, -1, 3))}/{rng.randrange(1, 4)}")
+                shifted = tuple(x + y for x, y in zip(u, inside.basis[0])) \
+                    if inside.basis else u
+                for v in (u, tuple(c * x for x in u), shifted):
+                    want = is_theta_ideal(algebra, module.colon(n_space, v), theta)
+                    assert (v in lazy) == want
+
+
+def _count_colon_calls(monkeypatch):
+    calls = [0]
+    original = ModuleSpace.colon
+
+    def counting(self, n_space, u):
+        calls[0] += 1
+        return original(self, n_space, u)
+
+    monkeypatch.setattr(ModuleSpace, "colon", counting)
+    return calls
+
+
+def test_trace_hyperplane_sets_compute_one_colon_space_per_class(monkeypatch):
+    calls = _count_colon_calls(monkeypatch)
+    n = 2
+    # rank 2: the largest submodule of the hyperplane is zero, so the classes
+    # are the 156 lines of GF(5)^4 plus zero; rank 1: it has dimension 2,
+    # leaving the 6 lines of the quotient plus zero
+    for x, want in (((1, 2, 3, 4), 157), ((1, 0, 0, 0), 7)):
+        module = natural_module(matrix_algebra(n, 5))
+        functional = tuple(x[j * n + i] for i in range(n) for j in range(n))
+        h_x = solve_right_kernel(module.field, [functional], n * n)
+        calls[0] = 0
+        for theta in THETAS:
+            sigma(module, h_x, theta)
+            tau(module, h_x, theta)
+        assert calls[0] == want

@@ -12,7 +12,7 @@ from mathieuspaces.algebras import (
     truncated_poly,
     upper_triangular,
 )
-from mathieuspaces.fields import GF
+from mathieuspaces.fields import GF, QQ
 from mathieuspaces.linalg import (
     EnumerationCapExceeded,
     Subspace,
@@ -36,7 +36,7 @@ from mathieuspaces.mathieu import (
     tau,
     verify_mathieu_witness,
 )
-from mathieuspaces.modules import column_module, natural_module
+from mathieuspaces.modules import ModuleSpace, column_module, natural_module
 
 F2, F3 = GF(2), GF(3)
 M2F2 = matrix_algebra(2, 2)
@@ -378,14 +378,26 @@ def test_witness_sides_must_match_the_selector():
 
 
 def test_sets_fall_back_to_predicates_over_the_cap():
-    col = column_module(M2F2, 2)
-    zero = Subspace.zero(F2, 2)
-    lazy = tau(col, zero, "right", cap=2)
+    # M_2(GF(2)) acting on 2 x 3 matrices (row-major): 64 module elements
+    # against a cap of 16, which the algebra's 16 elements still fit
+    k = 3
+    wide = ModuleSpace(M2F2, [
+        tuple(tuple(m[r // k][s // k] if r % k == s % k else 0 for s in range(2 * k))
+              for r in range(2 * k))
+        for m in column_module(M2F2, 2).actions])
+    zero = Subspace.zero(F2, 2 * k)
+    lazy = tau(wide, zero, "right", cap=16)
     assert not lazy.is_explicit
-    assert (0, 0) in lazy
-    assert (0, 1) not in lazy
+    assert (0,) * 6 in lazy
+    assert (0, 0, 0, 1, 0, 0) not in lazy
     with pytest.raises(ValueError):
         iter(lazy)
+    # the decisions enumerate the algebra, so a cap below its 16 elements
+    # refuses at the first query, warm caches or not
+    col_lazy = tau(column_module(M2F2, 2), Subspace.zero(F2, 2), "right", cap=2)
+    assert not col_lazy.is_explicit
+    with pytest.raises(EnumerationCapExceeded):
+        (0, 1) in col_lazy
 
 
 def test_cap_is_enforced_for_deciders():
@@ -494,3 +506,49 @@ def test_module_quasi_stability_characterized_by_radical_containments():
                     nat.colon(nat.inverse_image(a, n), nat.act(b, u))))
                 for a in elements for b in elements)
             assert direct == translated
+
+
+def test_tau_over_q_refuses_at_construction():
+    nat = natural_module(matrix_algebra(2, QQ))
+    line = Subspace(QQ, 4, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="finite field"):
+        tau(nat, line, "left")
+
+
+def test_capped_sets_equal_only_themselves():
+    nat = natural_module(matrix_algebra(2, QQ))
+    line = Subspace(QQ, 4, [(1, 0, 0, 0)])
+    plane = Subspace(QQ, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
+    s_line, s_plane = sigma(nat, line, "left"), sigma(nat, plane, "left")
+    assert not s_line.is_explicit and not s_plane.is_explicit
+    # the two sets differ: E_21 is stable for the left ideal of column-one
+    # matrices but not for the line through E_11
+    assert (0, 0, 1, 0) in s_plane and (0, 0, 1, 0) not in s_line
+    assert s_line != s_plane
+    assert s_line == s_line
+    assert s_line != sigma(nat, line, "left")
+    col = column_module(M2F2, 2)
+    zero = Subspace.zero(F2, 2)
+    assert sigma(col, zero, "left") == sigma(col, zero, "left")
+    assert sigma(col, zero, "left") != sigma(col, zero, "left", cap=2)
+
+
+def test_warm_caches_respect_the_callers_cap():
+    algebra = matrix_algebra(2, 3)
+    j = Subspace(F3, 4, [E11])
+    is_theta_mathieu_idempotent(algebra, j, "left")
+    algebra.element_list()
+    with pytest.raises(EnumerationCapExceeded):
+        is_theta_mathieu_idempotent(algebra, j, "left", cap=10)
+    with pytest.raises(EnumerationCapExceeded):
+        algebra.idempotents(10)
+    with pytest.raises(EnumerationCapExceeded):
+        algebra.element_list(10)
+    # memoized verdicts: the column module has 9 elements, within the cap,
+    # but every decision enumerates the 81 elements of the algebra
+    col = column_module(algebra, 2)
+    zero = Subspace.zero(F3, 2)
+    assert tau(col, zero, "left") == tau(col, zero, "left")
+    with pytest.raises(EnumerationCapExceeded):
+        tau(col, zero, "left", cap=10)
+    assert len(algebra.idempotents(81)) == len(algebra.idempotents())
