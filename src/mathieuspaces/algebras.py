@@ -197,13 +197,23 @@ class Algebra:
         if count > TABLE_MAX_ELEMENTS:
             self._table_failed = True
             return None
-        elems = self.element_list()
-        idx = self.index_of
-        table = [[0] * count for _ in range(count)]
-        for i, a in enumerate(elems):
-            row = table[i]
-            for j, b in enumerate(elems):
-                row[j] = idx(self.multiply(a, b))
+        # The product is bilinear: coordinate k of a*b is the linear form
+        # b -> sum_j b_j (a*e_j)[k].  Each distinct form is evaluated on all b
+        # once, and a row's indices are assembled digit by digit, big-endian
+        # like index_of.
+        p = self.field.p
+        basis = [self.basis_vector(j) for j in range(self.dim)]
+        form_values: dict = {}
+        table = []
+        for a in self.element_list():
+            cols = [self.multiply(a, e) for e in basis]
+            row = [0] * count
+            for form in zip(*cols):
+                values = form_values.get(form)
+                if values is None:
+                    values = form_values[form] = _form_values(form, p)
+                row = [r * p + v for r, v in zip(row, values)]
+            table.append(row)
         self._table = table
         return table
 
@@ -306,6 +316,15 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name})"
+
+
+def _form_values(form: tuple, p: int) -> list:
+    """The values of b -> sum_j form[j] * b_j mod p over all b, in index order."""
+    values = [0]
+    for f in form:
+        steps = [d * f % p for d in range(p)]
+        values = [(v + s) % p for v in values for s in steps]
+    return values
 
 
 # -- builders --------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .polyspaces import exact_integral, nba_member, nba_sigma_member, nba_tau_me
     nq_member, nq_sigma_member, nq_tau_member, omega_member, support
 from .serialize import (
     SchemaError,
+    _require,
     algebra_from_json,
     algebra_to_json,
     eval_config_from_json,
@@ -70,8 +71,17 @@ def _emit(args, payload, text_lines=None):
         print(out)
 
 
+def _option(args, name):
+    """The value of --name, which this request cannot do without."""
+    value = getattr(args, name)
+    if value is None:
+        what = f"gen {args.builder}" if args.verb == "gen" else args.verb
+        raise SchemaError(f"{what} needs --{name}")
+    return value
+
+
 def _load_algebra(args):
-    return algebra_from_json(load_json(args.algebra))
+    return algebra_from_json(load_json(_option(args, "algebra")))
 
 
 def _load_module(args):
@@ -102,27 +112,27 @@ def _witness_json(field, witness):
 
 def cmd_gen(args):
     if args.builder == "matrix":
-        algebra = matrix_algebra(args.n, args.p)
+        algebra = matrix_algebra(_option(args, "n"), args.p)
     elif args.builder == "product":
-        algebra = product_algebra(args.l, args.p)
+        algebra = product_algebra(_option(args, "l"), args.p)
     elif args.builder == "truncated":
-        algebra = truncated_poly(args.k, args.p)
+        algebra = truncated_poly(_option(args, "k"), args.p)
     elif args.builder == "upper":
-        algebra = upper_triangular(args.n, args.p)
+        algebra = upper_triangular(_option(args, "n"), args.p)
     elif args.builder == "field":
         algebra = field_algebra(args.p)
     elif args.builder == "opposite":
         algebra = opposite(_load_algebra(args))
     elif args.builder == "quotient":
         base = _load_algebra(args)
-        ideal = subspace_from_json(base.field, load_json(args.ideal))
+        ideal = subspace_from_json(base.field, load_json(_option(args, "ideal")))
         algebra, _proj = quotient_algebra(base, ideal)
     elif args.builder == "natural-module":
         module = natural_module(_load_algebra(args))
         _emit(args, module_to_json(module))
         return 0
     elif args.builder == "column-module":
-        module = column_module(_load_algebra(args), args.n)
+        module = column_module(_load_algebra(args), _option(args, "n"))
         _emit(args, module_to_json(module))
         return 0
     else:
@@ -305,16 +315,24 @@ def cmd_verify_witness(args):
     else:
         raise SchemaError("witness file needs 'algebra' or 'algebra_builder'")
     theta = obj.get("theta", "two")
-    j = subspace_from_json(algebra.field, obj["subspace"])
-    witness_json = obj["witness"]
+    j = subspace_from_json(algebra.field, _require(obj, "subspace", "witness file"))
+    witness_json = _require(obj, "witness", "witness file")
+    if not isinstance(witness_json, dict):
+        raise SchemaError("witness file: 'witness' must be an object")
     witness = {"kind": witness_json.get("kind", "mathieu")}
     if "power" in witness_json and witness_json["power"] is not None:
+        if type(witness_json["power"]) is not int:
+            raise SchemaError("witness.power: expected an integer")
         witness["power"] = witness_json["power"]
     for key in ("a", "b", "c", "element", "left", "right"):
         if witness_json.get(key) is not None:
             witness[key] = parse_vector(algebra.field, witness_json[key], key)
         elif key in witness_json:
             witness[key] = None
+    needed = {"mathieu": ("a", "power"), "ideal": ("element",)}.get(witness["kind"], ())
+    for key in needed:
+        if witness.get(key) is None:
+            raise SchemaError(f"witness: missing key {key!r}")
     ok, reason = verify_mathieu_witness(algebra, j, theta, witness)
     _emit(args, {"result": ok, "reason": reason}, [f"{ok}: {reason}"])
     return 0 if ok else 1

@@ -26,6 +26,9 @@ from .modules import ModuleSpace
 
 PRE_NOTE = "pre-two-sided ideals are taken to be two-sided ideals"
 
+# Ideal and Mathieu verdicts one algebra memoizes; the oldest goes first.
+VERDICT_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class MathieuVerdict:
@@ -322,11 +325,18 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
 # -- memoized bulk verdicts -------------------------------------------------------
 
 
+def _remember(memo: dict, key, verdict: bool) -> bool:
+    if len(memo) >= VERDICT_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = verdict
+    return verdict
+
+
 def _ideal_bool(algebra: Algebra, j: Subspace, theta: str) -> bool:
     key = ("ideal", theta, j.basis)
     memo = algebra._memo
     if key not in memo:
-        memo[key] = is_theta_ideal(algebra, j, theta)
+        return _remember(memo, key, is_theta_ideal(algebra, j, theta))
     return memo[key]
 
 
@@ -336,8 +346,8 @@ def _mathieu_bool(algebra: Algebra, j: Subspace, theta: str, method: str,
     memo = algebra._memo
     if key not in memo:
         decide = is_theta_mathieu_bruteforce if method == "brute" else is_theta_mathieu_idempotent
-        memo[key] = decide(algebra, j, theta, cap).is_mathieu
-    elif algebra.element_count() > cap:
+        return _remember(memo, key, decide(algebra, j, theta, cap).is_mathieu)
+    if algebra.element_count() > cap:
         # a cold decision enumerates the algebra and would refuse
         raise EnumerationCapExceeded(algebra.element_count(), cap)
     return memo[key]

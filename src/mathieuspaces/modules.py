@@ -13,6 +13,7 @@ from .algebras import Algebra, opposite
 from .fields import Field
 from .linalg import (
     Subspace,
+    _dot,
     enumerate_vectors,
     identity_matrix,
     image_subspace,
@@ -113,11 +114,9 @@ class ModuleSpace:
             return Subspace.full(field, self.algebra.dim)
         # column i of the map a -> a.u is e_i.u
         images = [mat_vec(field, self.actions[i], u) for i in range(self.algebra.dim)]
-        rows = []
-        for rrow in resid:
-            rows.append(tuple(
-                _dot(field, rrow, img) for img in images
-            ))
+        add, mul, zero = field.add, field.mul, field.zero
+        rows = [tuple(_dot(add, mul, zero, rrow, img) for img in images)
+                for rrow in resid]
         return solve_right_kernel(field, rows, self.algebra.dim)
 
     def colon_classes(self, n_space: Subspace) -> "ColonClasses":
@@ -196,15 +195,6 @@ class ModuleSpace:
 
 def _unit_vec(field: Field, n: int, i: int) -> tuple:
     return tuple(field.one if k == i else field.zero for k in range(n))
-
-
-def _dot(field: Field, u, v):
-    acc = field.zero
-    add, mul = field.add, field.mul
-    for x, y in zip(u, v):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
 
 
 class ColonClasses:

@@ -142,10 +142,6 @@ def subspace_from_json(field: Field, obj) -> Subspace:
         raise SchemaError(f"subspace: {exc}") from exc
 
 
-def subspace_to_json(s: Subspace) -> dict:
-    return s.to_json()
-
-
 # -- polynomials and configs ---------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ library's deciders.  Failing entries embed a witness that the standalone
 
 from __future__ import annotations
 
+import os
 import random
 import time
 import zlib
@@ -933,11 +934,11 @@ def check_functorial_identities(profile: Profile) -> list:
                         sigma_b = sigma(nat_b, j_space, theta, cap)
                         lhs = frozenset(
                             a for a in enumerate_vectors(algebra.field, algebra.dim, cap)
-                            if tuple(_apply_matrix(algebra.field, proj, a)) in tau_b)
+                            if mat_vec(algebra.field, proj, a) in tau_b)
                         rhs = frozenset(tau(nat_a, pulled, theta, cap))
                         lhs_s = frozenset(
                             a for a in enumerate_vectors(algebra.field, algebra.dim, cap)
-                            if tuple(_apply_matrix(algebra.field, proj, a)) in sigma_b)
+                            if mat_vec(algebra.field, proj, a) in sigma_b)
                         rhs_s = frozenset(sigma(nat_a, pulled, theta, cap))
                         if lhs != rhs or lhs_s != rhs_s:
                             failure = {"algebra": algebra.name, "theta": theta}
@@ -958,10 +959,6 @@ def check_functorial_identities(profile: Profile) -> list:
         runtime_ms=t.ms,
     ))
     return entries
-
-
-def _apply_matrix(field: Field, rows, v):
-    return mat_vec(field, rows, v)
 
 
 # -- check 11: one-dimensional division algebras --------------------------------------
@@ -1017,9 +1014,13 @@ SUITE: list = [
 
 
 def _run_check(args):
-    name, profile = args
-    fn = dict(SUITE)[name]
+    fn, profile = args
     return fn(profile)
+
+
+def _pool_size(jobs: int, suite_size: int) -> int:
+    """Worker processes for `jobs` requested over `suite_size` checks."""
+    return max(1, min(jobs, suite_size, os.cpu_count() or 1))
 
 
 def run_suite(profile: Profile | None = None, checks: Sequence | None = None,
@@ -1027,11 +1028,12 @@ def run_suite(profile: Profile | None = None, checks: Sequence | None = None,
     """Run the verification battery and assemble a deterministic report."""
     profile = profile or Profile()
     suite = list(checks) if checks is not None else SUITE
-    if jobs > 1 and checks is None:
+    workers = _pool_size(jobs, len(suite))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_check, [(name, profile) for name, _ in suite])
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(_run_check, [(fn, profile) for _name, fn in suite])
         entries = [e for batch in results for e in batch]
     else:
         entries = []

@@ -305,3 +305,52 @@ def test_mult_table_matches_direct_products():
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             assert elems[table[i][j]] == algebra.multiply(a, b)
+
+
+def _naive_table(algebra):
+    """The per-pair table: one product and one index per pair (a, b)."""
+    elems = algebra.element_list()
+    return [[algebra.index_of(algebra.multiply(a, b)) for b in elems] for a in elems]
+
+
+TABLE_ZOO = [
+    field_algebra(2),
+    field_algebra(7),
+    product_algebra(2, 3),
+    product_algebra(3, 5),
+    product_algebra(5, 3),
+    truncated_poly(3, 2),
+    truncated_poly(4, 3),
+    upper_triangular(2, 3),
+    upper_triangular(3, 2),
+    matrix_algebra(2, 2),
+    matrix_algebra(2, 3),
+    opposite(upper_triangular(3, 2)),
+    opposite(upper_triangular(2, 5)),
+    quotient_algebra(truncated_poly(4, 3), Subspace(GF(3), 4, [(0, 0, 1, 0), (0, 0, 0, 1)]))[0],
+    quotient_algebra(upper_triangular(3, 2),
+                     Subspace(GF(2), 6, [(0, 0, 1, 0, 0, 0)]))[0],
+]
+
+
+@pytest.mark.parametrize("algebra", TABLE_ZOO, ids=lambda a: a.name)
+def test_mult_table_equals_the_per_pair_table(algebra):
+    assert algebra.element_count() <= 729
+    assert algebra.mult_table() == _naive_table(algebra)
+
+
+def test_mult_table_build_multiplies_count_times_dim(monkeypatch):
+    algebra = matrix_algebra(2, 5)
+    calls = 0
+    multiply = algebra.multiply
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return multiply(a, b)
+
+    monkeypatch.setattr(algebra, "multiply", counting)
+    table = algebra.mult_table()
+    assert calls <= algebra.element_count() * algebra.dim == 2500
+    assert table[algebra.index_of((1, 2, 3, 4))][algebra.index_of((0, 1, 1, 0))] \
+        == algebra.index_of((2, 1, 4, 3))

@@ -341,3 +341,107 @@ def test_tau_over_q_exits_two_without_traceback(tmp_path, capsys):
                            "--subspace", str(line))
     assert code == 0
     assert json.loads(out)["result"] == {"capped": True}
+
+
+@pytest.mark.parametrize("missing", ["subspace", "witness", "witness.a", "witness.power"])
+def test_witness_file_without_a_key_exits_two(tmp_path, capsys, missing):
+    obj = {
+        "algebra_builder": ["matrix", 2, 2],
+        "subspace": {"ambient": 4, "basis": [[1, 0, 0, 1]]},
+        "witness": {"kind": "mathieu", "a": [1, 0, 0, 1], "power": 1},
+    }
+    *outer, missing = missing.split(".")
+    del (obj[outer[0]] if outer else obj)[missing]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify-witness", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"missing key {missing!r}" in err
+
+
+def test_witness_with_a_non_integer_power_exits_two(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        "algebra_builder": ["matrix", 2, 2],
+        "subspace": {"ambient": 4, "basis": [[1, 0, 0, 1]]},
+        "witness": {"kind": "mathieu", "a": [1, 0, 0, 1], "power": 1.5},
+    }))
+    code, _, err = run_cli(capsys, "verify-witness", "--input", str(path))
+    assert code == 2
+    assert "witness.power: expected an integer" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["matrix", "--p", "2"], "gen matrix needs --n"),
+    (["product", "--p", "2"], "gen product needs --l"),
+    (["truncated", "--p", "2"], "gen truncated needs --k"),
+    (["upper", "--p", "2"], "gen upper needs --n"),
+    (["opposite"], "gen opposite needs --algebra"),
+])
+def test_gen_without_its_size_argument_exits_two(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_gen_quotient_and_column_module_need_their_inputs(tmp_path, capsys):
+    alg_path = tmp_path / "t32.json"
+    run_cli(capsys, "gen", "truncated", "--k", "3", "--p", "2", "--out", str(alg_path))
+    code, _, err = run_cli(capsys, "gen", "quotient", "--algebra", str(alg_path))
+    assert code == 2 and "gen quotient needs --ideal" in err
+    code, _, err = run_cli(capsys, "gen", "column-module", "--algebra", str(alg_path))
+    assert code == 2 and "gen column-module needs --n" in err
+
+
+def test_package_runs_as_a_module(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import mathieuspaces
+
+    src = os.path.dirname(os.path.dirname(mathieuspaces.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "mathieuspaces", "gen", "field", "--p", "3"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert algebra_from_json(json.loads(done.stdout)).dim == 1
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    from mathieuspaces import verify
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+    assert verify._pool_size(10 ** 6, 11) == 4
+    assert verify._pool_size(10 ** 6, 2) == 2
+    assert verify._pool_size(3, 11) == 3
+    assert verify._pool_size(0, 11) == 1
+    assert verify._pool_size(8, 0) == 1
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert verify._pool_size(8, 11) == 1
+
+
+def test_explicit_checks_run_in_parallel_with_the_serial_report(monkeypatch):
+    import multiprocessing
+
+    from mathieuspaces import verify
+
+    checks = [("division-algebra-sets", verify.check_division_algebra_sets),
+              ("product-weight-hyperplane", verify.check_product_weight_hyperplanes)]
+    profile = Profile(primes=(2,), subspace_samples=5, pair_samples=12,
+                      hom_samples=4, eval_configs=4, integral_samples=5)
+    serial = run_suite(profile, checks=checks).to_json(with_timing=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(n):
+        pools.append(n)
+        return real_pool(n)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    parallel = run_suite(profile, checks=checks, jobs=2).to_json(with_timing=False)
+    assert pools == [2]
+    assert serial["entries"] and parallel == serial

@@ -552,3 +552,23 @@ def test_warm_caches_respect_the_callers_cap():
     with pytest.raises(EnumerationCapExceeded):
         tau(col, zero, "left", cap=10)
     assert len(algebra.idempotents(81)) == len(algebra.idempotents())
+
+
+def test_verdict_memo_stays_at_its_bound(monkeypatch):
+    from mathieuspaces import mathieu
+
+    spaces = list(enumerate_subspaces(F2, 4))[::5]
+
+    def verdicts(algebra):
+        module = natural_module(algebra)
+        return [(frozenset(sigma(module, n, theta)), frozenset(tau(module, n, theta)))
+                for n in spaces for theta in ("left", "two")]
+
+    expected = verdicts(matrix_algebra(2, 2))
+    monkeypatch.setattr(mathieu, "VERDICT_MEMO_SIZE", 4)
+    algebra = matrix_algebra(2, 2)
+    assert verdicts(algebra) == expected
+    assert len(algebra._memo) == 4
+    # a second pass decides the evicted verdicts again
+    assert verdicts(algebra) == expected
+    assert len(algebra._memo) == 4
