@@ -318,6 +318,24 @@ class Algebra:
         return f"Algebra({self.name})"
 
 
+def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict | None:
+    """A concrete (element of J, basis multiplier) proof that J is not a
+    theta-ideal, or None when it is one."""
+    theta = normalize_theta(theta)
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    if theta in ("left", "pre", "two"):
+        for v in j.basis:
+            for b in basis:
+                if not j.contains(algebra.multiply(b, v)):
+                    return {"kind": "ideal", "element": v, "left": b, "right": None}
+    if theta in ("right", "pre", "two"):
+        for v in j.basis:
+            for b in basis:
+                if not j.contains(algebra.multiply(v, b)):
+                    return {"kind": "ideal", "element": v, "left": None, "right": b}
+    return None
+
+
 def _form_values(form: tuple, p: int) -> list:
     """The values of b -> sum_j form[j] * b_j mod p over all b, in index order."""
     values = [0]
@@ -402,20 +420,35 @@ def field_algebra(p_or_field) -> Algebra:
     return Algebra(field, [[[field.one]]], [field.one], name=f"{field!r} (1-dim)")
 
 
+# Builder name -> (constructor, the `gen` option naming its size, or None).
+# A builder spec is the name, the size when there is one, then the prime.
+BUILDERS = {
+    "matrix": (matrix_algebra, "n"),
+    "product": (product_algebra, "l"),
+    "truncated": (truncated_poly, "k"),
+    "upper": (upper_triangular, "n"),
+    "field": (field_algebra, None),
+}
+
+
+def builder_spec_to_algebra(spec: Sequence) -> Algebra:
+    """The algebra of a builder spec such as ["matrix", 2, 3] (M_2(GF(3)))."""
+    if not isinstance(spec, (list, tuple)) or not spec:
+        raise ValueError(f"builder spec must be a non-empty list, got {spec!r}")
+    kind, *args = spec
+    if not isinstance(kind, str) or kind not in BUILDERS:
+        raise ValueError(f"unknown builder {kind!r}; use one of {tuple(BUILDERS)}")
+    build, size = BUILDERS[kind]
+    want = 2 if size else 1
+    if len(args) != want or any(type(x) is not int or x < 1 for x in args):
+        what = "a size and a prime" if size else "a prime"
+        raise ValueError(f"builder {kind!r} needs {what}, as positive integers; got {args!r}")
+    return build(*args)
+
+
 def opposite(a: Algebra) -> Algebra:
     structure = tuple(tuple(a.structure[j][i] for j in range(a.dim)) for i in range(a.dim))
     return Algebra(a.field, structure, a.unit, name=f"op({a.name})", check=False)
-
-
-def is_two_sided_ideal(a: Algebra, i_space: Subspace) -> bool:
-    basis = [a.basis_vector(k) for k in range(a.dim)]
-    for v in i_space.basis:
-        for b in basis:
-            if not i_space.contains(a.multiply(b, v)):
-                return False
-            if not i_space.contains(a.multiply(v, b)):
-                return False
-    return True
 
 
 def quotient_algebra(a: Algebra, i_space: Subspace):
@@ -428,7 +461,7 @@ def quotient_algebra(a: Algebra, i_space: Subspace):
 
     if i_space.ambient_dim != a.dim or i_space.field != a.field:
         raise ValueError("subspace does not live in this algebra")
-    if not is_two_sided_ideal(a, i_space):
+    if ideal_violation_witness(a, i_space, "two") is not None:
         raise ValueError("quotient requires a two-sided ideal")
     field = a.field
     proj = residual_matrix(i_space)

@@ -12,27 +12,23 @@ import os
 import sys
 
 from .algebras import (
-    field_algebra,
-    matrix_algebra,
+    BUILDERS,
+    builder_spec_to_algebra,
     normalize_theta,
     opposite,
-    product_algebra,
     quotient_algebra,
-    truncated_poly,
-    upper_triangular,
 )
 from .fields import QQ
 from .linalg import DEFAULT_ELEMENT_CAP, EnumerationCapExceeded
 from .mathieu import (
     PRE_NOTE,
+    decide,
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
     find_quasi_stable_violation,
     find_stable_violation,
     is_module_mathieu,
     is_theta_ideal,
-    is_theta_mathieu_bruteforce,
-    is_theta_mathieu_idempotent,
     sigma,
     tau,
     verify_mathieu_witness,
@@ -55,8 +51,10 @@ from .serialize import (
     poly_from_json,
     subspace_from_json,
     vector_to_json,
+    witness_from_json,
+    witness_to_json,
 )
-from .verify import Profile, builder_spec_to_algebra, run_suite
+from .verify import Profile, run_suite
 
 
 def _emit(args, payload, text_lines=None):
@@ -95,32 +93,14 @@ def _load_subspace(args, field, name="subspace"):
     return subspace_from_json(field, load_json(getattr(args, name)))
 
 
-def _witness_json(field, witness):
-    if witness is None:
-        return None
-    out = {}
-    for k, v in witness.items():
-        if k in ("a", "b", "c", "element", "left", "right") and v is not None:
-            out[k] = vector_to_json(field, v)
-        else:
-            out[k] = v
-    return out
-
-
 # -- verb implementations ------------------------------------------------------------
 
 
 def cmd_gen(args):
-    if args.builder == "matrix":
-        algebra = matrix_algebra(_option(args, "n"), args.p)
-    elif args.builder == "product":
-        algebra = product_algebra(_option(args, "l"), args.p)
-    elif args.builder == "truncated":
-        algebra = truncated_poly(_option(args, "k"), args.p)
-    elif args.builder == "upper":
-        algebra = upper_triangular(_option(args, "n"), args.p)
-    elif args.builder == "field":
-        algebra = field_algebra(args.p)
+    if args.builder in BUILDERS:
+        build, size = BUILDERS[args.builder]
+        sizes = [_option(args, size)] if size else []
+        algebra = build(*sizes, args.p)
     elif args.builder == "opposite":
         algebra = opposite(_load_algebra(args))
     elif args.builder == "quotient":
@@ -165,14 +145,11 @@ def cmd_is_mathieu(args):
             raise SchemaError("--wrt needs --module")
         algebra = _load_algebra(args)
         j = _load_subspace(args, algebra.field)
-        if args.method == "brute":
-            verdict = is_theta_mathieu_bruteforce(algebra, j, args.theta, args.cap)
-        else:
-            verdict = is_theta_mathieu_idempotent(algebra, j, args.theta, args.cap)
+        verdict = decide(algebra, j, args.theta, args.method, args.cap)
         field = algebra.field
     payload = {"result": verdict.is_mathieu}
     if verdict.witness is not None:
-        payload["witness"] = _witness_json(field, verdict.witness)
+        payload["witness"] = witness_to_json(field, verdict.witness)
     _emit(args, payload,
           [f"{'Mathieu' if verdict.is_mathieu else 'not Mathieu'} ({args.theta})"])
     return 0
@@ -230,7 +207,7 @@ def cmd_quasi_stable(args):
             payload = {"result": False,
                        "violation": {"subspace": n.to_json(),
                                      "element": vector_to_json(field, u),
-                                     "witness": _witness_json(field, witness)}}
+                                     "witness": witness_to_json(field, witness)}}
     else:
         algebra = _load_algebra(args)
         field = algebra.field
@@ -244,7 +221,7 @@ def cmd_quasi_stable(args):
             j, witness = violation
             payload = {"result": False,
                        "violation": {"subspace": j.to_json(),
-                                     "witness": _witness_json(field, witness)}}
+                                     "witness": witness_to_json(field, witness)}}
     _emit(args, payload, [str(payload["result"])])
     return 0
 
@@ -316,23 +293,7 @@ def cmd_verify_witness(args):
         raise SchemaError("witness file needs 'algebra' or 'algebra_builder'")
     theta = obj.get("theta", "two")
     j = subspace_from_json(algebra.field, _require(obj, "subspace", "witness file"))
-    witness_json = _require(obj, "witness", "witness file")
-    if not isinstance(witness_json, dict):
-        raise SchemaError("witness file: 'witness' must be an object")
-    witness = {"kind": witness_json.get("kind", "mathieu")}
-    if "power" in witness_json and witness_json["power"] is not None:
-        if type(witness_json["power"]) is not int:
-            raise SchemaError("witness.power: expected an integer")
-        witness["power"] = witness_json["power"]
-    for key in ("a", "b", "c", "element", "left", "right"):
-        if witness_json.get(key) is not None:
-            witness[key] = parse_vector(algebra.field, witness_json[key], key)
-        elif key in witness_json:
-            witness[key] = None
-    needed = {"mathieu": ("a", "power"), "ideal": ("element",)}.get(witness["kind"], ())
-    for key in needed:
-        if witness.get(key) is None:
-            raise SchemaError(f"witness: missing key {key!r}")
+    witness = witness_from_json(algebra.field, _require(obj, "witness", "witness file"))
     ok, reason = verify_mathieu_witness(algebra, j, theta, witness)
     _emit(args, {"result": ok, "reason": reason}, [f"{ok}: {reason}"])
     return 0 if ok else 1
@@ -367,13 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="verb", required=True)
 
     gen = subs.add_parser("gen", help="emit builder algebras/modules as JSON")
-    gen.add_argument("builder", choices=("matrix", "product", "truncated", "upper",
-                                         "field", "opposite", "quotient",
+    gen.add_argument("builder", choices=(*BUILDERS, "opposite", "quotient",
                                          "natural-module", "column-module"))
     gen.add_argument("--n", type=int, help="matrix size")
     gen.add_argument("--l", type=int, help="number of components")
     gen.add_argument("--k", type=int, help="truncation exponent")
-    gen.add_argument("--p", type=int, help="field characteristic")
+    gen.add_argument("--p", type=int, help="a prime; omitted means Q")
     gen.add_argument("--algebra", help="input algebra JSON (opposite/quotient/modules)")
     gen.add_argument("--ideal", help="two-sided ideal JSON (quotient)")
     _add_common(gen, cap=False)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import Algebra, normalize_theta
+from .algebras import Algebra, ideal_violation_witness, normalize_theta
 from .linalg import (
     DEFAULT_ELEMENT_CAP,
     EnumerationCapExceeded,
@@ -26,7 +26,7 @@ from .modules import ModuleSpace
 
 PRE_NOTE = "pre-two-sided ideals are taken to be two-sided ideals"
 
-# Ideal and Mathieu verdicts one algebra memoizes; the oldest goes first.
+# Ideal and Mathieu witnesses one algebra memoizes; the oldest goes first.
 VERDICT_MEMO_SIZE = 4096
 
 
@@ -89,40 +89,11 @@ class ElementSet:
         return out
 
 
-# -- ideal tests -----------------------------------------------------------------
+# -- ideal test ------------------------------------------------------------------
 
 
 def is_theta_ideal(algebra: Algebra, j: Subspace, theta: str) -> bool:
-    theta = normalize_theta(theta)
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    if theta in ("left", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(b, v)):
-                    return False
-    if theta in ("right", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(v, b)):
-                    return False
-    return True
-
-
-def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict | None:
-    """A concrete (element of J, basis multiplier) proof that J is not a theta-ideal."""
-    theta = normalize_theta(theta)
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    if theta in ("left", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(b, v)):
-                    return {"kind": "ideal", "element": v, "left": b, "right": None}
-    if theta in ("right", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(v, b)):
-                    return {"kind": "ideal", "element": v, "left": None, "right": b}
-    return None
+    return ideal_violation_witness(algebra, j, theta) is None
 
 
 # -- Mathieu deciders -----------------------------------------------------------
@@ -268,11 +239,21 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     return MathieuVerdict(True)
 
 
+def decide(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -> MathieuVerdict:
+    """Is J theta-Mathieu: by the idempotent criterion for method "idem", by the
+    brute-force power scan for "brute"."""
+    if method == "brute":
+        return is_theta_mathieu_bruteforce(algebra, j, theta, cap)
+    return is_theta_mathieu_idempotent(algebra, j, theta, cap)
+
+
 def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
     """Re-validate a negative verdict from scratch; returns (valid, reason)."""
     theta = normalize_theta(theta)
     kind = witness.get("kind")
     if kind == "ideal":
+        if witness.get("element") is None:
+            return False, "ideal violations need an element"
         v = tuple(witness["element"])
         if not j.contains(v):
             return False, "claimed element is not in the subspace"
@@ -294,11 +275,14 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         return True, "ideal violation confirmed"
     if kind != "mathieu":
         return False, f"unknown witness kind {kind!r}"
-    a = tuple(witness["a"])
-    traj = algebra.power_trajectory(a)
+    if witness.get("a") is None:
+        return False, "Mathieu violations need an element a"
+    m = witness.get("power")
+    if type(m) is not int:
+        return False, "witness exponent must be an integer"
+    traj = algebra.power_trajectory(tuple(witness["a"]))
     if not traj.all_powers_in(j):
         return False, "witness element does not have all powers in the subspace"
-    m = witness["power"]
     if m <= len(traj.tail):
         return False, "witness exponent does not reach the power cycle"
     x = traj.power(m)
@@ -325,32 +309,24 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
 # -- memoized bulk verdicts -------------------------------------------------------
 
 
-def _remember(memo: dict, key, verdict: bool) -> bool:
+def _witness(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -> dict | None:
+    """Why J is not a theta-ideal (method "ideal") or not theta-Mathieu (method
+    "idem" or "brute"), or None when it is; memoized on the algebra."""
+    key = (method, theta, j.basis)
+    memo = algebra._memo
+    if key in memo:
+        if method != "ideal" and algebra.element_count() > cap:
+            # a cold decision enumerates the algebra and would refuse
+            raise EnumerationCapExceeded(algebra.element_count(), cap)
+        return memo[key]
+    if method == "ideal":
+        witness = ideal_violation_witness(algebra, j, theta)
+    else:
+        witness = decide(algebra, j, theta, method, cap).witness
     if len(memo) >= VERDICT_MEMO_SIZE:
         del memo[next(iter(memo))]
-    memo[key] = verdict
-    return verdict
-
-
-def _ideal_bool(algebra: Algebra, j: Subspace, theta: str) -> bool:
-    key = ("ideal", theta, j.basis)
-    memo = algebra._memo
-    if key not in memo:
-        return _remember(memo, key, is_theta_ideal(algebra, j, theta))
-    return memo[key]
-
-
-def _mathieu_bool(algebra: Algebra, j: Subspace, theta: str, method: str,
-                  cap: int) -> bool:
-    key = ("mathieu", method, theta, j.basis)
-    memo = algebra._memo
-    if key not in memo:
-        decide = is_theta_mathieu_bruteforce if method == "brute" else is_theta_mathieu_idempotent
-        return _remember(memo, key, decide(algebra, j, theta, cap).is_mathieu)
-    if algebra.element_count() > cap:
-        # a cold decision enumerates the algebra and would refuse
-        raise EnumerationCapExceeded(algebra.element_count(), cap)
-    return memo[key]
+    memo[key] = witness
+    return witness
 
 
 # -- module-level tests ------------------------------------------------------------
@@ -359,10 +335,7 @@ def _mathieu_bool(algebra: Algebra, j: Subspace, theta: str, method: str,
 def is_module_mathieu(module: ModuleSpace, n_space: Subspace, u: Sequence, theta: str,
                       method: str = "idem", cap: int = DEFAULT_ELEMENT_CAP) -> MathieuVerdict:
     """Is N a theta-Mathieu subspace of the module with respect to u."""
-    j = module.colon(n_space, u)
-    if method == "brute":
-        return is_theta_mathieu_bruteforce(module.algebra, j, theta, cap)
-    return is_theta_mathieu_idempotent(module.algebra, j, theta, cap)
+    return decide(module.algebra, module.colon(n_space, u), theta, method, cap)
 
 
 def stable_sets(module: ModuleSpace, n_space: Subspace, cap: int, verdict,
@@ -389,7 +362,8 @@ def sigma(module: ModuleSpace, n_space: Subspace, theta: str,
           cap: int = DEFAULT_ELEMENT_CAP) -> ElementSet:
     """Elements u with (N:u) a theta-ideal."""
     theta = normalize_theta(theta)
-    return stable_sets(module, n_space, cap, lambda j: _ideal_bool(module.algebra, j, theta),
+    return stable_sets(module, n_space, cap,
+                       lambda j: _witness(module.algebra, j, theta, "ideal", cap) is None,
                        note=PRE_NOTE if theta == "pre" else None)
 
 
@@ -400,29 +374,44 @@ def tau(module: ModuleSpace, n_space: Subspace, theta: str,
     if module.field.is_rational:
         raise ValueError("tau needs a finite field: the Mathieu deciders enumerate the algebra")
     return stable_sets(module, n_space, cap,
-                       lambda j: _mathieu_bool(module.algebra, j, theta, method, cap))
+                       lambda j: _witness(module.algebra, j, theta, method, cap) is None)
 
 
 # -- stability of modules and algebras ----------------------------------------------
 
 
-def find_quasi_stable_violation(module: ModuleSpace, theta: str, method: str = "idem",
-                                cap: int = DEFAULT_ELEMENT_CAP):
-    """First (N, u, witness) with u outside N and (N:u) not theta-Mathieu."""
-    theta = normalize_theta(theta)
+def _first_violation(algebra: Algebra, theta: str, method: str, cap: int, candidates):
+    """The first (*found, witness) from `candidates`, pairs of a tuple `found`
+    and a subspace J of the algebra, where J fails `method` (see `_witness`)."""
+    for found, j in candidates:
+        witness = _witness(algebra, j, theta, method, cap)
+        if witness is not None:
+            return (*found, witness)
+    return None
+
+
+def _colon_candidates(module: ModuleSpace, cap: int):
+    """((N, u), (N:u)) for every proper subspace N and every u outside it."""
     for n_space in enumerate_subspaces(module.field, module.dim, cap):
         if n_space.is_full():
             continue
         for u in enumerate_vectors(module.field, module.dim, cap):
-            if n_space.contains(u):
-                continue
-            j = module.colon_cached(n_space, u)
-            if not _mathieu_bool(module.algebra, j, theta, method, cap):
-                verdict = (is_theta_mathieu_bruteforce(module.algebra, j, theta, cap)
-                           if method == "brute"
-                           else is_theta_mathieu_idempotent(module.algebra, j, theta, cap))
-                return n_space, u, verdict.witness
-    return None
+            if not n_space.contains(u):
+                yield (n_space, u), module.colon_cached(n_space, u)
+
+
+def _unit_avoiding_candidates(algebra: Algebra, cap: int):
+    """((J,), J) for every subspace J that avoids the unit."""
+    for j in enumerate_subspaces(algebra.field, algebra.dim, cap):
+        if not j.contains(algebra.unit):
+            yield (j,), j
+
+
+def find_quasi_stable_violation(module: ModuleSpace, theta: str, method: str = "idem",
+                                cap: int = DEFAULT_ELEMENT_CAP):
+    """First (N, u, witness) with u outside N and (N:u) not theta-Mathieu."""
+    return _first_violation(module.algebra, normalize_theta(theta), method, cap,
+                            _colon_candidates(module, cap))
 
 
 def is_quasi_stable(module: ModuleSpace, theta: str, method: str = "idem",
@@ -433,17 +422,9 @@ def is_quasi_stable(module: ModuleSpace, theta: str, method: str = "idem",
 
 def find_stable_violation(module: ModuleSpace, theta: str,
                           cap: int = DEFAULT_ELEMENT_CAP):
-    theta = normalize_theta(theta)
-    for n_space in enumerate_subspaces(module.field, module.dim, cap):
-        if n_space.is_full():
-            continue
-        for u in enumerate_vectors(module.field, module.dim, cap):
-            if n_space.contains(u):
-                continue
-            j = module.colon_cached(n_space, u)
-            if not _ideal_bool(module.algebra, j, theta):
-                return n_space, u, ideal_violation_witness(module.algebra, j, theta)
-    return None
+    """First (N, u, witness) with u outside N and (N:u) not a theta-ideal."""
+    return _first_violation(module.algebra, normalize_theta(theta), "ideal", cap,
+                            _colon_candidates(module, cap))
 
 
 def is_stable(module: ModuleSpace, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
@@ -452,17 +433,9 @@ def is_stable(module: ModuleSpace, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -
 
 def find_algebra_quasi_stable_violation(algebra: Algebra, theta: str, method: str = "idem",
                                         cap: int = DEFAULT_ELEMENT_CAP):
-    """First unit-avoiding subspace that fails to be theta-Mathieu."""
-    theta = normalize_theta(theta)
-    for j in enumerate_subspaces(algebra.field, algebra.dim, cap):
-        if j.contains(algebra.unit):
-            continue
-        if not _mathieu_bool(algebra, j, theta, method, cap):
-            verdict = (is_theta_mathieu_bruteforce(algebra, j, theta, cap)
-                       if method == "brute"
-                       else is_theta_mathieu_idempotent(algebra, j, theta, cap))
-            return j, verdict.witness
-    return None
+    """First (J, witness) with J avoiding the unit and not theta-Mathieu."""
+    return _first_violation(algebra, normalize_theta(theta), method, cap,
+                            _unit_avoiding_candidates(algebra, cap))
 
 
 def is_quasi_stable_algebra(algebra: Algebra, theta: str, method: str = "idem",
@@ -473,13 +446,9 @@ def is_quasi_stable_algebra(algebra: Algebra, theta: str, method: str = "idem",
 
 def find_algebra_stable_violation(algebra: Algebra, theta: str,
                                   cap: int = DEFAULT_ELEMENT_CAP):
-    theta = normalize_theta(theta)
-    for j in enumerate_subspaces(algebra.field, algebra.dim, cap):
-        if j.contains(algebra.unit):
-            continue
-        if not _ideal_bool(algebra, j, theta):
-            return j, ideal_violation_witness(algebra, j, theta)
-    return None
+    """First (J, witness) with J avoiding the unit and not a theta-ideal."""
+    return _first_violation(algebra, normalize_theta(theta), "ideal", cap,
+                            _unit_avoiding_candidates(algebra, cap))
 
 
 def is_stable_algebra(algebra: Algebra, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -> bool:

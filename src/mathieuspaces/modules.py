@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebras import Algebra, opposite
-from .fields import Field
 from .linalg import (
     Subspace,
     _dot,
@@ -177,7 +176,7 @@ class ModuleSpace:
         for m in self.actions:
             qm = [[field.zero] * qdim for _ in range(qdim)]
             for col, src in enumerate(free_cols):
-                img = mat_vec(field, proj, mat_vec(field, m, _unit_vec(field, self.dim, src)))
+                img = mat_vec(field, proj, tuple(row[src] for row in m))
                 for row in range(qdim):
                     qm[row][col] = img[row]
             actions.append(tuple(tuple(r) for r in qm))
@@ -191,10 +190,6 @@ class ModuleSpace:
 
     def __repr__(self):
         return f"ModuleSpace({self.name})"
-
-
-def _unit_vec(field: Field, n: int, i: int) -> tuple:
-    return tuple(field.one if k == i else field.zero for k in range(n))
 
 
 class ColonClasses:

@@ -142,6 +142,47 @@ def subspace_from_json(field: Field, obj) -> Subspace:
         raise SchemaError(f"subspace: {exc}") from exc
 
 
+# -- witnesses ---------------------------------------------------------------------
+
+# The vectors a witness of each kind carries; `power` is the exponent of a
+# Mathieu witness and null for an ideal witness.
+_WITNESS_VECTORS = {"mathieu": ("a", "b", "c"), "ideal": ("element", "left", "right")}
+
+
+def witness_to_json(field: Field, w: dict) -> dict:
+    """A witness as JSON: its kind, its power and the vectors of its kind."""
+    out = {"kind": w["kind"], "power": w.get("power")}
+    for key in _WITNESS_VECTORS[w["kind"]]:
+        v = w.get(key)
+        out[key] = None if v is None else vector_to_json(field, v)
+    return out
+
+
+def witness_from_json(field: Field, obj) -> dict:
+    """A witness as `verify_mathieu_witness` takes it; kind defaults to "mathieu"."""
+    if not isinstance(obj, dict):
+        raise SchemaError("witness file: 'witness' must be an object")
+    kind = obj.get("kind", "mathieu")
+    if not isinstance(kind, str):
+        raise SchemaError("witness.kind: expected a string")
+    w = {"kind": kind}
+    if obj.get("power") is not None:
+        if type(obj["power"]) is not int:
+            raise SchemaError("witness.power: expected an integer")
+        w["power"] = obj["power"]
+    for keys in _WITNESS_VECTORS.values():
+        for key in keys:
+            if obj.get(key) is not None:
+                w[key] = parse_vector(field, obj[key], key)
+            elif key in obj:
+                w[key] = None
+    needed = {"mathieu": ("a", "power"), "ideal": ("element",)}.get(kind, ())
+    for key in needed:
+        if w.get(key) is None:
+            raise SchemaError(f"witness: missing key {key!r}")
+    return w
+
+
 # -- polynomials and configs ---------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 from .algebras import (
     Algebra,
     THETAS,
+    builder_spec_to_algebra,
     field_algebra,
     matrix_algebra,
     product_algebra,
@@ -41,8 +42,6 @@ from .mathieu import (
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
     has_only_trivial_idempotents,
-    is_quasi_stable_algebra,
-    is_stable_algebra,
     is_stable_algebra_classified,
     is_theta_mathieu_bruteforce,
     is_theta_mathieu_idempotent,
@@ -66,6 +65,7 @@ from .polyspaces import (
     omega_member,
     reduce_to_product_algebra,
 )
+from .serialize import vector_to_json, witness_to_json
 
 
 @dataclass
@@ -170,49 +170,6 @@ class _Timer:
         self.ms = (time.perf_counter() - self.t0) * 1000.0
 
 
-def _vec_json(field: Field, v) -> list:
-    return [field.scalar_to_json(x) for x in v]
-
-
-def _witness_payload(algebra: Algebra, builder: list, theta: str, j: Subspace,
-                     witness: dict | None) -> dict | None:
-    if witness is None:
-        return None
-    f = algebra.field
-    out = {
-        "algebra_builder": builder,
-        "theta": theta,
-        "subspace": j.to_json(),
-        "witness": {
-            "kind": witness["kind"],
-            "power": witness.get("power"),
-        },
-    }
-    for key in ("a", "b", "c", "element", "left", "right"):
-        if witness.get(key) is not None:
-            out["witness"][key] = _vec_json(f, witness[key])
-        elif key in witness:
-            out["witness"][key] = None
-    return out
-
-
-# -- builder registry (shared with the CLI) -----------------------------------------
-
-
-def builder_spec_to_algebra(spec: Sequence) -> Algebra:
-    kind, *args = spec
-    table = {
-        "matrix": matrix_algebra,
-        "product": product_algebra,
-        "truncated": truncated_poly,
-        "upper": upper_triangular,
-        "field": field_algebra,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown builder {kind!r}")
-    return table[kind](*args)
-
-
 def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
     k = rng.randrange(dim + 1)
     rows = [tuple(field.from_int(rng.randrange(field.p)) for _ in range(dim))
@@ -225,27 +182,23 @@ def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
 
 def check_oracle_agreement(profile: Profile) -> list:
     entries = []
-    exhaustive = [
-        (["product", 2, 2], product_algebra(2, 2)),
-        (["truncated", 2, 2], truncated_poly(2, 2)),
-        (["truncated", 2, 3], truncated_poly(2, 3)),
-        (["upper", 2, 2], upper_triangular(2, 2)),
-    ]
-    for builder, algebra in exhaustive:
+    exhaustive = [["product", 2, 2], ["truncated", 2, 2], ["truncated", 2, 3], ["upper", 2, 2]]
+    for builder in exhaustive:
+        algebra = builder_spec_to_algebra(builder)
         subspaces = list(enumerate_subspaces(algebra.field, algebra.dim, profile.element_cap))
-        entries += _oracle_entries(profile, builder, algebra, subspaces,
+        entries += _oracle_entries(profile, algebra, subspaces,
                                    f"all {len(subspaces)} subspaces")
     for n, p in ((2, 2), (2, 3)):
         algebra = matrix_algebra(n, p)
         pool = list(enumerate_subspaces(algebra.field, algebra.dim, profile.element_cap))
         rng = _rng(profile, f"oracle/{n}/{p}")
         sample = [pool[rng.randrange(len(pool))] for _ in range(profile.subspace_samples)]
-        entries += _oracle_entries(profile, ["matrix", n, p], algebra, sample,
+        entries += _oracle_entries(profile, algebra, sample,
                                    f"{profile.subspace_samples} sampled subspaces")
     return entries
 
 
-def _oracle_entries(profile, builder, algebra, subspaces, scope):
+def _oracle_entries(profile, algebra, subspaces, scope):
     claim = "brute-force power scan and the idempotent criterion give the same verdict"
     entries = []
     for theta in THETAS:
@@ -390,7 +343,7 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
                     got_sigma = frozenset(sigma(module, h_x, theta, profile.element_cap))
                     got_tau = frozenset(tau(module, h_x, theta, profile.element_cap))
                     if got_sigma != expected_sigma or got_tau != expected_tau:
-                        mismatch = {"X": _vec_json(fld, x), "theta": theta,
+                        mismatch = {"X": vector_to_json(fld, x), "theta": theta,
                                     "sigma_ok": got_sigma == expected_sigma,
                                     "tau_ok": got_tau == expected_tau}
                         break
@@ -484,29 +437,31 @@ def check_quasi_stable_classification(profile: Profile) -> list:
              "idempotents) or the two-dimensional split pair; verdict is exhaustive "
              "over all unit-avoiding subspaces")
     cases = [
-        (["product", 2, 2], product_algebra(2, 2), True),
-        (["truncated", 2, 2], truncated_poly(2, 2), True),
-        (["truncated", 3, 2], truncated_poly(3, 2), True),
-        (["truncated", 2, 3], truncated_poly(2, 3), True),
-        (["field", 2], field_algebra(2), True),
-        (["field", 3], field_algebra(3), True),
-        (["matrix", 2, 2], matrix_algebra(2, 2), False),
-        (["upper", 2, 2], upper_triangular(2, 2), False),
+        (["product", 2, 2], True),
+        (["truncated", 2, 2], True),
+        (["truncated", 3, 2], True),
+        (["truncated", 2, 3], True),
+        (["field", 2], True),
+        (["field", 3], True),
+        (["matrix", 2, 2], False),
+        (["upper", 2, 2], False),
     ]
-    for builder, algebra, expected in cases:
+    for builder, expected in cases:
+        algebra = builder_spec_to_algebra(builder)
         with _Timer() as t:
             verdicts = {}
             payload = None
             witness_ok = True
             for theta in THETAS:
-                verdicts[theta] = is_quasi_stable_algebra(algebra, theta,
-                                                          cap=profile.element_cap)
-                if not verdicts[theta] and payload is None:
-                    j, witness = find_algebra_quasi_stable_violation(
-                        algebra, theta, cap=profile.element_cap)
-                    ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
-                    witness_ok = ok
-                    payload = _witness_payload(algebra, builder, theta, j, witness)
+                violation = find_algebra_quasi_stable_violation(algebra, theta,
+                                                                cap=profile.element_cap)
+                verdicts[theta] = violation is None
+                if violation is not None and payload is None:
+                    j, witness = violation
+                    witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
+                    payload = {"algebra_builder": builder, "theta": theta,
+                               "subspace": j.to_json(),
+                               "witness": witness_to_json(algebra.field, witness)}
             classified = _classified_quasi_stable(algebra)
             computed_ok = (all(v == expected for v in verdicts.values())
                            and classified == expected and witness_ok)
@@ -530,25 +485,28 @@ def check_stable_classification(profile: Profile) -> list:
              "split pair over GF(2); verdict is exhaustive over all unit-avoiding "
              "subspaces and cross-checked against the closed form")
     cases = [
-        (["field", 2], field_algebra(2), True),
-        (["field", 3], field_algebra(3), True),
-        (["product", 2, 2], product_algebra(2, 2), True),
-        (["product", 2, 3], product_algebra(2, 3), False),
-        (["truncated", 2, 2], truncated_poly(2, 2), False),
+        (["field", 2], True),
+        (["field", 3], True),
+        (["product", 2, 2], True),
+        (["product", 2, 3], False),
+        (["truncated", 2, 2], False),
     ]
-    for builder, algebra, expected in cases:
+    for builder, expected in cases:
+        algebra = builder_spec_to_algebra(builder)
         with _Timer() as t:
             verdicts = {}
             payload = None
             witness_ok = True
             for theta in THETAS:
-                verdicts[theta] = is_stable_algebra(algebra, theta, cap=profile.element_cap)
-                if not verdicts[theta] and payload is None:
-                    j, witness = find_algebra_stable_violation(algebra, theta,
-                                                               cap=profile.element_cap)
-                    ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
-                    witness_ok = ok
-                    payload = _witness_payload(algebra, builder, theta, j, witness)
+                violation = find_algebra_stable_violation(algebra, theta,
+                                                          cap=profile.element_cap)
+                verdicts[theta] = violation is None
+                if violation is not None and payload is None:
+                    j, witness = violation
+                    witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
+                    payload = {"algebra_builder": builder, "theta": theta,
+                               "subspace": j.to_json(),
+                               "witness": witness_to_json(algebra.field, witness)}
             crossed = is_stable_algebra_classified(algebra, cap=profile.element_cap)
             computed_ok = (all(v == expected for v in verdicts.values())
                            and crossed.agree and crossed.classified == expected

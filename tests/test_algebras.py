@@ -228,9 +228,11 @@ def test_quotient_of_truncated_matches_smaller_truncation():
 
 
 def test_quotient_rejects_non_ideals():
-    j = Subspace(GF(2), 4, [(1, 0, 0, 0)])
-    with pytest.raises(ValueError):
-        quotient_algebra(M2F2, j)
+    # the first column is a left ideal only, the first row a right ideal only
+    for rows in ([E11], [E11, E21], [E11, E12]):
+        j = Subspace(GF(2), 4, rows)
+        with pytest.raises(ValueError, match="two-sided ideal"):
+            quotient_algebra(M2F2, j)
 
 
 def test_opposite_is_an_involution():

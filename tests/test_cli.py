@@ -2,9 +2,17 @@ import json
 
 import pytest
 
-from mathieuspaces.algebras import matrix_algebra, truncated_poly
+from mathieuspaces.algebras import (
+    THETAS,
+    ideal_violation_witness,
+    matrix_algebra,
+    truncated_poly,
+    upper_triangular,
+)
 from mathieuspaces.cli import main
 from mathieuspaces.fields import GF, QQ
+from mathieuspaces.linalg import enumerate_subspaces
+from mathieuspaces.mathieu import is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent
 from mathieuspaces.serialize import (
     SchemaError,
     algebra_from_json,
@@ -14,6 +22,8 @@ from mathieuspaces.serialize import (
     poly_from_json,
     poly_to_json,
     subspace_from_json,
+    witness_from_json,
+    witness_to_json,
 )
 from mathieuspaces.modules import natural_module
 from mathieuspaces.polyspaces import Poly
@@ -54,6 +64,27 @@ def test_nonassociative_json_rejected_with_named_triple():
         algebra_from_json(obj)
     assert "associativity" in str(err.value)
     assert "basis triple (" in str(err.value)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_witness_codec_round_trip(p):
+    algebra = upper_triangular(2, p)
+    field = algebra.field
+    found = {"idem": [], "brute": [], "ideal": []}
+    for theta in THETAS:
+        for j in enumerate_subspaces(field, algebra.dim):
+            for name, witness in (
+                    ("idem", is_theta_mathieu_idempotent(algebra, j, theta).witness),
+                    ("brute", is_theta_mathieu_bruteforce(algebra, j, theta).witness),
+                    ("ideal", ideal_violation_witness(algebra, j, theta))):
+                if witness is not None and len(found[name]) < len(THETAS):
+                    found[name].append(witness)
+    for name, witnesses in found.items():
+        assert len(witnesses) == len(THETAS), name
+        for w in witnesses:
+            obj = json.loads(json.dumps(witness_to_json(field, w)))
+            assert obj["power"] == w.get("power")
+            assert witness_from_json(field, obj) == w
 
 
 def test_subspace_json_defaults():
@@ -360,6 +391,21 @@ def test_witness_file_without_a_key_exits_two(tmp_path, capsys, missing):
     assert f"missing key {missing!r}" in err
 
 
+@pytest.mark.parametrize("spec", [["matrix", 2], ["matrix", "2", 2], ["matrix", 2, 2, 7],
+                                  "matrix", ["product", 0, 3]])
+def test_witness_file_with_a_malformed_builder_exits_two(tmp_path, capsys, spec):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        "algebra_builder": spec,
+        "subspace": {"ambient": 4, "basis": [[1, 0, 0, 1]]},
+        "witness": {"kind": "mathieu", "a": [1, 0, 0, 1], "power": 1},
+    }))
+    code, out, err = run_cli(capsys, "verify-witness", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "builder" in err and "unknown builder 'm'" not in err
+
+
 def test_witness_with_a_non_integer_power_exits_two(tmp_path, capsys):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({
@@ -384,6 +430,12 @@ def test_gen_without_its_size_argument_exits_two(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_gen_without_a_prime_builds_over_q(capsys):
+    code, out, _ = run_cli(capsys, "gen", "matrix", "--n", "2")
+    assert code == 0
+    assert json.loads(out)["field"] == "Q"
 
 
 def test_gen_quotient_and_column_module_need_their_inputs(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from mathieuspaces.algebras import (
     THETAS,
     field_algebra,
+    ideal_violation_witness,
     matrix_algebra,
     product_algebra,
     quotient_algebra,
@@ -23,7 +24,10 @@ from mathieuspaces.linalg import (
     subspace_intersect,
 )
 from mathieuspaces.mathieu import (
+    find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
+    find_quasi_stable_violation,
+    find_stable_violation,
     is_module_mathieu,
     is_quasi_stable,
     is_quasi_stable_algebra,
@@ -375,6 +379,63 @@ def test_witness_sides_must_match_the_selector():
     ok, reason = verify_mathieu_witness(matrix_algebra(2, 2),
                                         Subspace(F2, 4, [(1, 0, 0, 0)]), "left", bad)
     assert not ok
+
+
+def test_malformed_witness_dicts_are_rejected_without_raising():
+    j = Subspace(F2, 4, [E11])
+    witness = is_theta_mathieu_idempotent(M2F2, j, "left").witness
+    ideal = ideal_violation_witness(M2F2, j, "left")
+    assert verify_mathieu_witness(M2F2, j, "left", witness)[0]
+    assert verify_mathieu_witness(M2F2, j, "left", ideal)[0]
+    no_power = {k: v for k, v in witness.items() if k != "power"}
+    no_a = {k: v for k, v in witness.items() if k != "a"}
+    no_element = {k: v for k, v in ideal.items() if k != "element"}
+    for bad in (no_power, no_a, no_element, dict(witness, power=1.5),
+                dict(witness, power="1"), dict(witness, power=None)):
+        ok, reason = verify_mathieu_witness(M2F2, j, "left", bad)
+        assert not ok and reason
+
+
+def _naive_first_violation(algebra, theta, method, candidates):
+    """The first candidate failing `method`, by the public deciders with no memo."""
+    for found, j in candidates:
+        if method == "ideal":
+            witness = ideal_violation_witness(algebra, j, theta)
+        elif method == "brute":
+            witness = is_theta_mathieu_bruteforce(algebra, j, theta).witness
+        else:
+            witness = is_theta_mathieu_idempotent(algebra, j, theta).witness
+        if witness is not None:
+            return (*found, witness)
+    return None
+
+
+def test_finders_match_a_naive_scan():
+    # one algebra serves every side, so the memo holds verdicts of all four
+    for algebra in (product_algebra(2, 3), matrix_algebra(2, 2)):
+        module = natural_module(algebra)
+
+        def unit_avoiding():
+            for j in enumerate_subspaces(algebra.field, algebra.dim):
+                if not j.contains(algebra.unit):
+                    yield (j,), j
+
+        def outside_pairs():
+            for n in enumerate_subspaces(module.field, module.dim):
+                for u in enumerate_vectors(module.field, module.dim):
+                    if not n.contains(u):
+                        yield (n, u), module.colon(n, u)
+
+        for theta in THETAS:
+            assert (find_algebra_stable_violation(algebra, theta)
+                    == _naive_first_violation(algebra, theta, "ideal", unit_avoiding()))
+            assert (find_stable_violation(module, theta)
+                    == _naive_first_violation(algebra, theta, "ideal", outside_pairs()))
+            for method in ("idem", "brute"):
+                assert (find_algebra_quasi_stable_violation(algebra, theta, method)
+                        == _naive_first_violation(algebra, theta, method, unit_avoiding()))
+                assert (find_quasi_stable_violation(module, theta, method)
+                        == _naive_first_violation(algebra, theta, method, outside_pairs()))
 
 
 def test_sets_fall_back_to_predicates_over_the_cap():
