@@ -197,8 +197,11 @@ def cmd_quasi_stable(args):
     theta = args.theta
     if args.module:
         module = _load_module(args)
-        finder = find_stable_violation if args.stable else find_quasi_stable_violation
-        violation = finder(module, theta, cap=args.cap)
+        if args.stable:
+            violation = find_stable_violation(module, theta, cap=args.cap)
+        else:
+            violation = find_quasi_stable_violation(module, theta, method=args.method,
+                                                    cap=args.cap)
         field = module.field
         if violation is None:
             payload = {"result": True}
@@ -214,7 +217,8 @@ def cmd_quasi_stable(args):
         if args.stable:
             violation = find_algebra_stable_violation(algebra, theta, cap=args.cap)
         else:
-            violation = find_algebra_quasi_stable_violation(algebra, theta, cap=args.cap)
+            violation = find_algebra_quasi_stable_violation(algebra, theta, method=args.method,
+                                                            cap=args.cap)
         if violation is None:
             payload = {"result": True}
         else:

@@ -7,7 +7,7 @@ exposed as predicates, never as enumerated element lists.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +21,7 @@ MAX_SUPPORT = 20
 
 class SupportCapExceeded(ValueError):
     def __init__(self, size: int):
-        super().__init__(f"support of size {size} exceeds the 2^{MAX_SUPPORT} subset-scan cap")
+        super().__init__(f"support of size {size} exceeds the cap of {MAX_SUPPORT} nonzero weights")
         self.size = size
 
 
@@ -126,6 +126,8 @@ class Poly:
             raise ValueError("evaluation point has the wrong arity")
         field = self.field
         point = [field.check_scalar(x) for x in point]
+        if self.nvars == 1:
+            return _horner(self.coeffs_univariate(), point[0], field.p)
         acc = field.zero
         for exp, coef in self.terms.items():
             term = coef
@@ -148,6 +150,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
+
+
+def _horner(coeffs: Sequence, x, p: int | None):
+    """Value at x of the polynomial with dense coefficients ``coeffs`` (lowest
+    degree first), reduced mod p at each step unless p is None (Q)."""
+    if p is None:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _pow(field: Field, x, e: int):
@@ -199,16 +215,36 @@ def omega_member(weights: Sequence, field: Field | None = None) -> bool:
     if len(sup) > MAX_SUPPORT:
         raise SupportCapExceeded(len(sup))
     vals = [weights[i] for i in sup]
-    for size in range(1, len(vals) + 1):
-        for combo in itertools.combinations(vals, size):
-            total = combo[0]
-            for v in combo[1:]:
-                total = total + v
-            if field is not None and field.p is not None:
-                total = total % field.p
-            if not total:
-                return False
-    return True
+    p = None if field is None else field.p
+    if p is not None:
+        # Two of the p+1 prefix sums of p weights agree mod p, so a run of
+        # consecutive weights sums to zero.
+        if len(vals) >= p:
+            return False
+    elif all(v > 0 for v in vals) or all(v < 0 for v in vals):
+        return True
+    else:
+        scale = math.lcm(*(v.denominator for v in vals))
+        vals = [v.numerator * (scale // v.denominator) for v in vals]
+    half = len(vals) // 2
+    left, right = _subset_sums(vals[:half], p), _subset_sums(vals[half:], p)
+    if 0 in left or 0 in right:
+        return False
+    if p is None:
+        return not any(-a in right for a in left)
+    return not any((-a) % p in right for a in left)
+
+
+def _subset_sums(vals: Sequence, p: int | None) -> set:
+    """The sums of the nonempty subsets of ``vals``, reduced mod p unless p is None."""
+    sums: set = set()
+    for v in vals:
+        grown = {s + v for s in sums}
+        grown.add(v)
+        if p is not None:
+            grown = {s % p for s in grown}
+        sums |= grown
+    return sums
 
 
 def alpha_f_B(f: Poly, cfg: EvalConfig) -> tuple:
@@ -309,14 +345,7 @@ def exact_integral(f: Poly, cfg: IntegralConfig) -> Fraction:
         return Fraction(0)
     coeffs = h.coeffs_univariate()
     anti = [Fraction(0)] + [Fraction(c, k + 1) for k, c in enumerate(coeffs)]
-    return _horner(anti, cfg.b) - _horner(anti, cfg.a)
-
-
-def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return _horner(anti, cfg.b, None) - _horner(anti, cfg.a, None)
 
 
 def nq_member(f: Poly, cfg: IntegralConfig) -> bool:

@@ -178,6 +178,29 @@ def test_quasi_stable_cli(tmp_path, capsys):
     assert "violation" in json.loads(out)
 
 
+def test_quasi_stable_cli_method_brute(tmp_path, capsys, monkeypatch):
+    import mathieuspaces.mathieu as mathieu
+
+    alg_path, mod_path = tmp_path / "m2.json", tmp_path / "nat.json"
+    run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+    run_cli(capsys, "gen", "natural-module", "--algebra", str(alg_path), "--out", str(mod_path))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_theta_mathieu_bruteforce(*args, **kwargs)
+
+    monkeypatch.setattr(mathieu, "is_theta_mathieu_bruteforce", counted)
+    for source in (("--algebra", str(alg_path)), ("--module", str(mod_path))):
+        argv = ("quasi-stable", *source, "--theta", "left")
+        code, idem_out, _ = run_cli(capsys, *argv)
+        assert code == 0 and not calls
+        code, brute_out, _ = run_cli(capsys, *argv, "--method", "brute")
+        assert code == 0 and calls
+        assert json.loads(brute_out) == json.loads(idem_out)
+        calls.clear()
+
+
 def test_omega_nba_nq_cli(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "omega", "--alpha", "[1, -1]")
     assert code == 0 and json.loads(out)["result"] is False

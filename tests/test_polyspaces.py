@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mathieuspaces.fields import GF, QQ
 from mathieuspaces.mathieu import is_theta_ideal, is_theta_mathieu_bruteforce
 from mathieuspaces.polyspaces import (
+    MAX_SUPPORT,
     EvalConfig,
     IntegralConfig,
     Poly,
@@ -24,6 +28,7 @@ from mathieuspaces.polyspaces import (
     standard_eval_config,
     support,
 )
+from mathieuspaces.verify import _subset_sums_nonzero
 
 THETAS = ("left", "right", "pre", "two")
 
@@ -266,3 +271,115 @@ def test_high_degree_integration_stays_exact():
             k = i + j
             total += ci * cj * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
     assert exact_integral(f, cfg) == total
+
+
+# -- differential tests of the fast omega_member and Poly.evaluate paths ----------
+
+
+def _naive_omega_mod(weights, p):
+    """Scan every nonempty subset of the support, summing mod p."""
+    nz = [w for w in weights if w]
+    for size in range(1, len(nz) + 1):
+        for combo in itertools.combinations(nz, size):
+            if sum(combo) % p == 0:
+                return False
+    return True
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_RATIONALS, max_size=12), st.sampled_from(("mixed", "positive", "negative")))
+@example([], "mixed")
+@example([Fraction(0)] * 5, "mixed")
+@example([Fraction(3, 2)] * 12, "mixed")
+@example([Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3), Fraction(0)], "mixed")
+@example([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(5, 7)], "mixed")
+@example([Fraction(2 ** i) * (-1) ** i for i in range(12)], "mixed")
+def test_omega_over_q_matches_naive_scan(weights, sign):
+    if sign == "positive":
+        weights = [abs(w) for w in weights]
+    elif sign == "negative":
+        weights = [-abs(w) for w in weights]
+    assert omega_member(weights) == _subset_sums_nonzero(weights)
+    assert omega_member(weights, QQ) == _subset_sums_nonzero(weights)
+
+
+@st.composite
+def _residue_weights(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    # unreduced ints such as p, -1 or 2p + 1 stand for their residues
+    weights = draw(st.lists(st.integers(-2 * p, 2 * p + 1), max_size=p + 3))
+    return p, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residue_weights())
+@example((2, [1, 1]))
+@example((3, [1, 1, 1]))
+@example((5, [5, 1]))
+@example((5, [-1, 1, 2, 4]))
+@example((7, [1] * 6))
+@example((7, [1] * 7))
+@example((11, [3] * 10 + [0, 11]))
+@example((13, [1] * 12))
+@example((13, [2] * 13))
+def test_omega_over_gf_p_matches_naive_scan(case):
+    p, weights = case
+    assert omega_member(weights, GF(p)) == _naive_omega_mod(weights, p)
+
+
+def test_omega_mixed_signs_at_the_support_cap():
+    superincreasing = [Fraction((-1) ** i * 2 ** i, 3) for i in range(MAX_SUPPORT)]
+    assert omega_member(superincreasing)
+    planted = [Fraction(2 ** i) for i in range(MAX_SUPPORT - 1)] + [Fraction(-3)]
+    assert not omega_member(planted)
+    with pytest.raises(SupportCapExceeded):
+        omega_member(superincreasing + [Fraction(-1)])
+    with pytest.raises(SupportCapExceeded):
+        omega_member([1] * (MAX_SUPPORT + 1), GF(2))
+
+
+def _term_by_term(terms, x, p):
+    if p is None:
+        return sum((Fraction(c) * Fraction(x) ** e for (e,), c in terms.items()), Fraction(0))
+    return sum(c * pow(x, e, p) for (e,), c in terms.items()) % p
+
+
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 30)), st.integers(-9, 9), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((None, 2, 3, 5, 7, 13)), _TERMS, st.integers(-40, 40),
+       st.integers(1, 5))
+@example(None, {}, 3, 1)
+@example(5, {}, 7, 1)
+@example(None, {(0,): 4}, -2, 3)
+@example(7, {(0,): -1}, 9, 1)
+@example(None, {(30,): 1, (0,): 1}, 3, 2)
+@example(3, {(30,): 1, (0,): 1}, -4, 1)
+@example(13, {(30,): 1, (0,): 1}, 40, 1)
+def test_univariate_evaluate_matches_term_by_term(p, terms, num, den):
+    field = QQ if p is None else GF(p)
+    if p is None:
+        x, terms = Fraction(num, den), {e: Fraction(c, den) for e, c in terms.items()}
+    else:
+        x = num
+    f = Poly(field, 1, terms)
+    value = f.evaluate((x,))
+    if p is None:
+        assert isinstance(value, Fraction)
+    else:
+        assert value in range(p)
+    assert value == _term_by_term(f.terms, x % p if p else x, p)
+
+
+def test_evaluate_keeps_its_validation():
+    f = Poly.univariate(GF(5), [1, 2, 3])
+    with pytest.raises(ValueError):
+        f.evaluate((1, 2))
+    with pytest.raises(ValueError):
+        f.evaluate((Fraction(1, 2),))
+    with pytest.raises(ValueError):
+        upoly(1, 1).evaluate((1.5,))
