@@ -7,7 +7,6 @@ exposed as predicates, never as enumerated element lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -127,7 +126,7 @@ class Poly:
         field = self.field
         point = [field.check_scalar(x) for x in point]
         if self.nvars == 1:
-            return _horner(self.coeffs_univariate(), point[0], field.p)
+            return _horner(((e, c) for (e,), c in self.terms.items()), point[0], field.p)
         acc = field.zero
         for exp, coef in self.terms.items():
             term = coef
@@ -152,18 +151,27 @@ class Poly:
         return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
 
 
-def _horner(coeffs: Sequence, x, p: int | None):
-    """Value at x of the polynomial with dense coefficients ``coeffs`` (lowest
-    degree first), reduced mod p at each step unless p is None (Q)."""
+def _horner(terms, x, p: int | None):
+    """Value at x of the univariate polynomial with the given (exponent,
+    coefficient) terms, reduced mod p at each step unless p is None (Q).
+
+    Horner's rule over the gaps between the exponents, highest first: a gap
+    of g costs one power x^g, so a sparse polynomial of huge degree costs
+    O(terms * log degree) and no dense coefficient list is built."""
+    terms = sorted(terms, reverse=True)
+    if not terms:
+        return 0 if p is not None else Fraction(0)
+    prev, acc = terms[0]
     if p is None:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+        for e, c in terms[1:]:
+            gap = prev - e
+            acc = acc * (x if gap == 1 else x ** gap) + c
+            prev = e
+        return acc * x ** prev if prev else acc
+    for e, c in terms[1:]:
+        acc = (acc * pow(x, prev - e, p) + c) % p
+        prev = e
+    return acc * pow(x, prev, p) % p
 
 
 def _pow(field: Field, x, e: int):
@@ -216,16 +224,6 @@ def omega_member(weights: Sequence, field: Field | None = None) -> bool:
         raise SupportCapExceeded(len(sup))
     vals = [weights[i] for i in sup]
     p = None if field is None else field.p
-    if p is not None:
-        # Two of the p+1 prefix sums of p weights agree mod p, so a run of
-        # consecutive weights sums to zero.
-        if len(vals) >= p:
-            return False
-    elif all(v > 0 for v in vals) or all(v < 0 for v in vals):
-        return True
-    else:
-        scale = math.lcm(*(v.denominator for v in vals))
-        vals = [v.numerator * (scale // v.denominator) for v in vals]
     half = len(vals) // 2
     left, right = _subset_sums(vals[:half], p), _subset_sums(vals[half:], p)
     if 0 in left or 0 in right:
@@ -343,8 +341,7 @@ def exact_integral(f: Poly, cfg: IntegralConfig) -> Fraction:
     h = f * cfg.q
     if h.is_zero():
         return Fraction(0)
-    coeffs = h.coeffs_univariate()
-    anti = [Fraction(0)] + [Fraction(c, k + 1) for k, c in enumerate(coeffs)]
+    anti = [(k + 1, c / (k + 1)) for (k,), c in h.terms.items()]
     return _horner(anti, cfg.b, None) - _horner(anti, cfg.a, None)
 
 

@@ -339,6 +339,20 @@ def test_nba_over_prime_field(tmp_path, capsys):
     assert json.loads(out)["result"] is True
 
 
+def test_nba_sparse_huge_degree_poly(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"field": {"p": 5}, "points": [[0], [1]], "alpha": [1, 1]}))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"vars": 1, "terms": [{"exp": [10 ** 9], "coef": 1}]}))
+    code, out, _ = run_cli(capsys, "nba", "tau", "--config", str(cfg), "--poly", str(big))
+    assert code == 0
+    assert json.loads(out)["result"] is True  # twist (0, 1)
+    code, out, _ = run_cli(capsys, "nba", "member", "--config", str(cfg), "--poly", str(big))
+    assert code == 0
+    assert json.loads(out)["result"] is False
+
+
 def test_rational_subspace_round_trip():
     s = subspace_from_json(QQ, {"ambient": 2, "basis": [["1/2", 1]]})
     assert s.basis == ((QQ.parse_scalar("1"), QQ.parse_scalar("2")),)

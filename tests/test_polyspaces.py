@@ -375,6 +375,30 @@ def test_univariate_evaluate_matches_term_by_term(p, terms, num, den):
     assert value == _term_by_term(f.terms, x % p if p else x, p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 13)),
+       st.dictionaries(st.tuples(st.integers(0, 10 ** 15)), st.integers(1, 12), max_size=5),
+       st.integers(-40, 40))
+def test_sparse_huge_degree_evaluate_over_gf_p(p, terms, x):
+    f = Poly(GF(p), 1, terms)
+    assert f.evaluate((x,)) == _term_by_term(f.terms, x % p, p)
+
+
+def test_sparse_huge_degree_evaluates_without_a_dense_list():
+    # one dense coefficient per degree would need 10^12 entries here
+    f = Poly(GF(5), 1, {(10 ** 12,): 1, (0,): 1})
+    assert [f.evaluate((x,)) for x in range(5)] == [1, 2, 2, 2, 2]
+    z = Poly(QQ, 1, {(10 ** 9,): 1})
+    assert [z.evaluate((Fraction(x),)) for x in (1, 0, -1)] == [1, 0, 1]
+    g = Poly(QQ, 1, {(10 ** 9,): Fraction(1), (10 ** 9 - 3,): Fraction(-2), (5,): Fraction(1)})
+    assert g.evaluate((Fraction(1),)) == 0 and g.evaluate((Fraction(-1),)) == 2
+    unit = IntegralConfig(Fraction(0), Fraction(1), upoly(1))
+    assert exact_integral(z, unit) == Fraction(1, 10 ** 9 + 1)
+    assert exact_integral(z, IntegralConfig(Fraction(-1), Fraction(1), upoly(1))) == Fraction(2, 10 ** 9 + 1)
+    cfg = standard_eval_config(2, GF(5), [1, 1])
+    assert nba_tau_member(f, cfg) and not nba_member(f, cfg)
+
+
 def test_evaluate_keeps_its_validation():
     f = Poly.univariate(GF(5), [1, 2, 3])
     with pytest.raises(ValueError):
