@@ -348,11 +348,12 @@ def stable_sets(module: ModuleSpace, n_space: Subspace, cap: int, verdict,
     class map.
     """
     classes = module.colon_classes(n_space)
-    index = classes.member_index(cap)
-    if index is None:
+    enumerated = classes.member_index(cap)
+    if enumerated is None:
         return ElementSet(module.field, module.dim, note=note,
                           predicate=lambda u: verdict(classes.colon(u)))
-    passed = [verdict(j) for j in classes.colons]
+    colons, index = enumerated
+    passed = [verdict(j) for j in colons]
     members = [u for u, k in zip(enumerate_vectors(module.field, module.dim, cap), index)
                if passed[k]]
     return ElementSet(module.field, module.dim, members=members, note=note)

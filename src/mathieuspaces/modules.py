@@ -28,7 +28,8 @@ from .linalg import (
     zero_vector,
 )
 
-# Subspaces N whose colon classes one module keeps; the oldest N goes first.
+# Subspaces N whose colon classes one module keeps, and classes of u whose
+# colon spaces a point query keeps for one N; the oldest goes first.
 COLON_CACHE_SIZE = 256
 
 
@@ -198,17 +199,19 @@ class ColonClasses:
     (N:cu) = (N:u) for a scalar c != 0, and (N:u+v) = (N:u) for v in the
     largest submodule V inside N.  So u is reduced modulo V and scaled until
     its first nonzero coordinate is 1, and only that representative's colon
-    space is computed.  `colons` lists the distinct colon spaces met so far.
+    space is computed.  Point queries keep the colon spaces of the last
+    COLON_CACHE_SIZE classes, oldest out first; once `member_index` has
+    enumerated the module, every class is kept.
     """
 
     def __init__(self, module: ModuleSpace, n_space: Subspace):
         self.module = module
         self.n_space = n_space
         self.submodule = module.max_submodule(n_space)
-        self.colons: list = []
-        self._by_basis: dict = {}  # colon basis -> position in colons
-        self._by_class: dict = {}  # class representative -> position in colons
-        self._member_index: list | None = None
+        self._by_class: dict = {}  # class representative -> colon space
+        self._by_basis: dict = {}  # colon basis -> the one colon space object with it
+        self._bounded = True
+        self._member_index: tuple | None = None
 
     def representative(self, u: Sequence) -> tuple:
         field = self.module.field
@@ -218,30 +221,38 @@ class ColonClasses:
                 return v if x == field.one else vec_scale(field, field.inv(x), v)
         return v
 
-    def index(self, u: Sequence) -> int:
-        """Position of (N:u) in `colons`."""
-        rep = self.representative(u)
-        pos = self._by_class.get(rep)
-        if pos is None:
-            colon = self.module.colon(self.n_space, rep)
-            pos = self._by_basis.get(colon.basis)
-            if pos is None:
-                pos = self._by_basis[colon.basis] = len(self.colons)
-                self.colons.append(colon)
-            self._by_class[rep] = pos
-        return pos
-
     def colon(self, u: Sequence) -> Subspace:
-        return self.colons[self.index(u)]
+        rep = self.representative(u)
+        hit = self._by_class.get(rep)
+        if hit is None:
+            if self._bounded:
+                for memo in (self._by_class, self._by_basis):
+                    if len(memo) >= COLON_CACHE_SIZE:
+                        del memo[next(iter(memo))]
+            hit = self.module.colon(self.n_space, rep)
+            hit = self._by_class[rep] = self._by_basis.setdefault(hit.basis, hit)
+        return hit
 
-    def member_index(self, cap: int) -> list | None:
-        """`index(u)` for every u in `enumerate_vectors` order, or None when
+    def member_index(self, cap: int) -> tuple | None:
+        """(colons, index): the distinct colon spaces of N, and for every u in
+        `enumerate_vectors` order the position of (N:u) in `colons`; None when
         the module is over Q or has more than `cap` elements."""
         field, dim = self.module.field, self.module.dim
         if field.is_rational or vector_count(field, dim) > cap:
             return None
         if self._member_index is None:
-            self._member_index = [self.index(u) for u in enumerate_vectors(field, dim, cap)]
+            self._bounded = False
+            colons: list = []
+            positions: dict = {}  # colon basis -> position in colons
+            index = []
+            for u in enumerate_vectors(field, dim, cap):
+                colon = self.colon(u)
+                pos = positions.get(colon.basis)
+                if pos is None:
+                    pos = positions[colon.basis] = len(colons)
+                    colons.append(colon)
+                index.append(pos)
+            self._member_index = colons, index
         return self._member_index
 
 

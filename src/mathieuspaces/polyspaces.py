@@ -7,6 +7,7 @@ exposed as predicates, never as enumerated element lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,16 +35,21 @@ class Poly:
         self.nvars = nvars
         clean = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
-                raise ValueError(f"bad exponent {exp} for {nvars} variables")
+            if (not isinstance(exp, tuple) or len(exp) != nvars
+                    or any(type(e) is not int or e < 0 for e in exp)):
+                raise ValueError(f"bad exponent {exp!r} for {nvars} variables")
             coef = field.check_scalar(coef)
             if coef:
-                clean[exp] = field.add(clean.get(exp, field.zero), coef) \
-                    if exp in clean else coef
-                if not clean[exp]:
-                    del clean[exp]
+                clean[exp] = coef
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, field: Field, nvars: int, terms: dict) -> "Poly":
+        """A polynomial from terms that are already canonical: exponent tuples
+        of length nvars mapped to nonzero scalars of the field."""
+        poly = object.__new__(cls)
+        poly.field, poly.nvars, poly.terms = field, nvars, terms
+        return poly
 
     @classmethod
     def zero(cls, field: Field, nvars: int = 1) -> "Poly":
@@ -88,11 +94,11 @@ class Poly:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        return Poly(self.field, self.nvars, terms)
+        return Poly._trusted(self.field, self.nvars, terms)
 
     def __neg__(self) -> "Poly":
         neg = self.field.neg
-        return Poly(self.field, self.nvars, {e: neg(c) for e, c in self.terms.items()})
+        return Poly._trusted(self.field, self.nvars, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -100,6 +106,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
         field = self.field
+        if self.nvars == 1:
+            return Poly._trusted(field, 1, _convolve(self.terms, other.terms, field.p))
         add, mul = field.add, field.mul
         terms: dict = {}
         for e1, c1 in self.terms.items():
@@ -114,11 +122,15 @@ class Poly:
                         del terms[exp]
                 elif prod:
                     terms[exp] = prod
-        return Poly(self.field, self.nvars, terms)
+        return Poly._trusted(field, self.nvars, terms)
 
     def scale(self, c) -> "Poly":
-        mul = self.field.mul
-        return Poly(self.field, self.nvars, {e: mul(c, v) for e, v in self.terms.items()})
+        field = self.field
+        c = field.check_scalar(c)
+        if not c:
+            return Poly._trusted(field, self.nvars, {})
+        mul = field.mul
+        return Poly._trusted(field, self.nvars, {e: mul(c, v) for e, v in self.terms.items()})
 
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
@@ -151,9 +163,41 @@ class Poly:
         return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
 
 
+def _cleared(terms) -> tuple:
+    """Rational (key, coefficient) pairs as integer numerators over one
+    common denominator: ([(key, N)], D) with coefficient = N / D."""
+    ratios = [(k, c.as_integer_ratio()) for k, c in terms]
+    den = math.lcm(*[d for _, (_, d) in ratios])
+    return [(k, n * (den // d)) for k, (n, d) in ratios], den
+
+
+def _convolve(f: dict, g: dict, p: int | None) -> dict:
+    """Terms of the product of two univariate polynomials, given by their
+    terms.  The products of coefficients are summed in a dict keyed by the
+    integer exponent, so a sparse polynomial of huge degree costs nothing
+    extra; over GF(p) each sum is reduced once, over Q the factors are taken
+    as integer numerators over their common denominators and each output
+    term becomes one Fraction."""
+    if p is None:
+        (f, df), (g, dg) = _cleared(f.items()), _cleared(g.items())
+    else:
+        f, g = f.items(), g.items()
+    acc: dict = {}
+    get = acc.get
+    for (i,), a in f:
+        for (j,), b in g:
+            k = i + j
+            acc[k] = get(k, 0) + a * b
+    if p is None:
+        den = df * dg
+        return {(k,): Fraction(v, den) for k, v in acc.items() if v}
+    return {(k,): r for k, v in acc.items() if (r := v % p)}
+
+
 def _horner(terms, x, p: int | None):
     """Value at x of the univariate polynomial with the given (exponent,
-    coefficient) terms, reduced mod p at each step unless p is None (Q).
+    coefficient) terms: over GF(p) reduced mod p at each step, over Q (p is
+    None) on integer numerators by `_horner_cleared`.
 
     Horner's rule over the gaps between the exponents, highest first: a gap
     of g costs one power x^g, so a sparse polynomial of huge degree costs
@@ -161,17 +205,37 @@ def _horner(terms, x, p: int | None):
     terms = sorted(terms, reverse=True)
     if not terms:
         return 0 if p is not None else Fraction(0)
-    prev, acc = terms[0]
     if p is None:
-        for e, c in terms[1:]:
-            gap = prev - e
-            acc = acc * (x if gap == 1 else x ** gap) + c
-            prev = e
-        return acc * x ** prev if prev else acc
+        nums, den = _cleared(terms)
+        return _horner_cleared(nums, den, x)
+    prev, acc = terms[0]
     for e, c in terms[1:]:
         acc = (acc * pow(x, prev - e, p) + c) % p
         prev = e
     return acc * pow(x, prev, p) % p
+
+
+def _horner_cleared(nums: list, den: int, x: Fraction) -> Fraction:
+    """sum(N * x^e for (e, N) in nums) / den for integer numerators N, the
+    exponents descending, by Horner's rule on integers alone.
+
+    With x = a/b and top the highest exponent, the value is
+    a^low * sum(N_e * a^(e-low) * b^(top-e)) / (den * b^top), so the loop
+    steps acc = acc*a^gap + N_e*b^(top-e), keeping b^(top-e) up to date, and
+    only the last step builds a Fraction."""
+    a, b = x.numerator, x.denominator
+    prev, acc = nums[0]
+    bpow = 1  # b^(top - prev)
+    for e, n in nums[1:]:
+        gap = prev - e
+        if gap == 1:
+            bpow *= b
+            acc = acc * a + n * bpow
+        else:
+            bpow *= b ** gap
+            acc = acc * a ** gap + n * bpow
+        prev = e
+    return Fraction(acc * a ** prev, den * bpow * b ** prev)
 
 
 def _pow(field: Field, x, e: int):
@@ -280,11 +344,10 @@ def indicator_poly(cfg: EvalConfig, i: int) -> Poly:
         coord = next(c for c in range(cfg.nvars) if other[c] != target[c])
         denom = field.sub(target[coord], other[coord])
         exp = tuple(1 if c == coord else 0 for c in range(cfg.nvars))
-        linear = Poly(field, cfg.nvars, {
-            exp: field.one,
-            (0,) * cfg.nvars: field.neg(other[coord]),
-        })
-        out = out * linear.scale(field.inv(denom))
+        terms = {exp: field.one}
+        if other[coord]:
+            terms[(0,) * cfg.nvars] = field.neg(other[coord])
+        out = out * Poly._trusted(field, cfg.nvars, terms).scale(field.inv(denom))
     return out
 
 
@@ -341,8 +404,13 @@ def exact_integral(f: Poly, cfg: IntegralConfig) -> Fraction:
     h = f * cfg.q
     if h.is_zero():
         return Fraction(0)
-    anti = [(k + 1, c / (k + 1)) for (k,), c in h.terms.items()]
-    return _horner(anti, cfg.b, None) - _horner(anti, cfg.a, None)
+    # the antiderivative sum(N_k / (D*(k+1)) z^(k+1)) over the denominator D*L,
+    # L the lcm of the k+1
+    nums, den = _cleared(sorted(h.terms.items(), reverse=True))
+    lcm = math.lcm(*(k + 1 for (k,), _ in nums))
+    anti = [(k + 1, n * (lcm // (k + 1))) for (k,), n in nums]
+    den *= lcm
+    return _horner_cleared(anti, den, cfg.b) - _horner_cleared(anti, den, cfg.a)
 
 
 def nq_member(f: Poly, cfg: IntegralConfig) -> bool:

@@ -187,16 +187,24 @@ def witness_from_json(field: Field, obj) -> dict:
 
 
 def poly_from_json(field: Field, obj) -> Poly:
+    """A polynomial from its JSON terms; terms with the same exponent are summed."""
     nvars = _require(obj, "vars", "poly")
+    if type(nvars) is not int or nvars < 0:
+        raise SchemaError("poly.vars: expected a non-negative integer")
     terms_json = _require(obj, "terms", "poly")
+    if not isinstance(terms_json, list):
+        raise SchemaError("poly.terms: expected a JSON array")
     terms = {}
     for i, t in enumerate(terms_json):
-        exp = tuple(_require(t, "exp", f"poly.terms[{i}]"))
+        exp = _require(t, "exp", f"poly.terms[{i}]")
+        if not isinstance(exp, list) or any(type(e) is not int for e in exp):
+            raise SchemaError(f"poly.terms[{i}].exp: expected an array of integers")
+        exp = tuple(exp)
         try:
             coef = field.parse_scalar(_require(t, "coef", f"poly.terms[{i}]"))
         except ValueError as exc:
             raise SchemaError(f"poly.terms[{i}].coef: {exc}") from exc
-        terms[exp] = coef
+        terms[exp] = field.add(terms[exp], coef) if exp in terms else coef
     try:
         return Poly(field, nvars, terms)
     except ValueError as exc:

@@ -3,6 +3,8 @@ printed pass/fail line each.  All arithmetic is exact so every comparison is
 equality; the stated wall-clock budgets are asserted as upper bounds.
 """
 
+import hashlib
+import json
 import time
 
 from mathieuspaces.verify import (
@@ -135,3 +137,6 @@ def test_full_suite_default_profile_under_budget():
           f"{'PASS' if report.passed else 'FAIL'} ({elapsed:.1f}s)")
     assert report.passed
     assert elapsed <= 1800  # one-core budget
+    # the bytes of `mathieuspaces verify-paper --no-timing`
+    text = json.dumps(report.to_json(with_timing=False), indent=2, sort_keys=True) + "\n"
+    assert hashlib.md5(text.encode()).hexdigest() == "7404b7e163f427dae27253f54a7e2e6c"

@@ -534,3 +534,50 @@ def test_explicit_checks_run_in_parallel_with_the_serial_report(monkeypatch):
     parallel = run_suite(profile, checks=checks, jobs=2).to_json(with_timing=False)
     assert pools == [2]
     assert serial["entries"] and parallel == serial
+
+
+@pytest.mark.parametrize("terms", [
+    [{"exp": 1, "coef": 1}],
+    [{"exp": [1.5], "coef": 1}],
+    [{"exp": ["2"], "coef": 1}],
+    [{"exp": [True], "coef": 1}],
+    [{"exp": [[1]], "coef": 1}],
+    [{"exp": [-1], "coef": 1}],
+    [{"exp": [1, 0], "coef": 1}],
+    {"exp": [1], "coef": 1},
+    7,
+])
+def test_malformed_poly_exits_two(tmp_path, capsys, terms):
+    _assert_poly_rejected(tmp_path, capsys, {"vars": 1, "terms": terms})
+
+
+@pytest.mark.parametrize("nvars", ["1", True, -1, 1.0, None])
+def test_poly_with_a_bad_variable_count_exits_two(tmp_path, capsys, nvars):
+    _assert_poly_rejected(tmp_path, capsys, {"vars": nvars, "terms": []})
+
+
+def _assert_poly_rejected(tmp_path, capsys, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": "Q", "points": [[0], [1]], "alpha": [1, -1]}))
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "nba", "member", "--config", str(cfg), "--poly", str(poly))
+    assert code == 2
+    assert "Traceback" not in err
+    with pytest.raises(SchemaError):
+        poly_from_json(QQ, obj)
+
+
+def test_duplicate_poly_terms_are_summed(tmp_path, capsys):
+    assert poly_from_json(QQ, {"vars": 1, "terms": [
+        {"exp": [1], "coef": "1"}, {"exp": [1], "coef": "-1"}]}).is_zero()
+    assert poly_from_json(GF(3), {"vars": 1, "terms": [
+        {"exp": [2], "coef": 2}, {"exp": [0], "coef": 1}, {"exp": [2], "coef": 2}]}) \
+        == Poly(GF(3), 1, {(2,): 1, (0,): 1})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": "Q", "points": [[0], [1]], "alpha": [1, -1]}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"vars": 1, "terms": [
+        {"exp": [1], "coef": "1"}, {"exp": [1], "coef": "-1"}]}))
+    code, out, _ = run_cli(capsys, "nba", "member", "--config", str(cfg), "--poly", str(zero))
+    assert code == 0 and json.loads(out)["result"] is True

@@ -633,3 +633,44 @@ def test_verdict_memo_stays_at_its_bound(monkeypatch):
     # a second pass decides the evicted verdicts again
     assert verdicts(algebra) == expected
     assert len(algebra._memo) == 4
+
+
+def test_point_query_class_memo_stays_at_its_bound(monkeypatch):
+    from fractions import Fraction
+
+    from mathieuspaces import modules
+
+    monkeypatch.setattr(modules, "COLON_CACHE_SIZE", 8)
+    algebra = matrix_algebra(2, QQ)
+    module = natural_module(algebra)
+    one, zero = Fraction(1), Fraction(0)
+    n_space = Subspace(QQ, 4, [(one, zero, zero, zero), (zero, one, zero, one)])
+    rng = random.Random(7)
+    us = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4))
+          for _ in range(30)]
+    us += [(one, one, zero, zero), (zero, zero, one, -one), (one, -one, one, -one)]
+    us += [tuple(3 * x for x in u) for u in us]  # same classes, after eviction
+    expected = [is_theta_ideal(algebra, module.colon(n_space, u), "left") for u in us]
+    assert any(expected) and not all(expected)
+    stable = sigma(module, n_space, "left")
+    assert [u in stable for u in us] == expected
+    classes = module.colon_classes(n_space)
+    assert len(classes._by_class) == 8 and len(classes._by_basis) <= 8
+    assert [u in stable for u in us] == expected
+
+
+def test_element_index_survives_point_query_eviction(monkeypatch):
+    from mathieuspaces import modules
+
+    monkeypatch.setattr(modules, "COLON_CACHE_SIZE", 3)
+    algebra = matrix_algebra(2, 3)
+    module = natural_module(algebra)
+    elements = list(enumerate_vectors(F3, 4))
+    for n_space in list(enumerate_subspaces(F3, 4))[::40]:
+        expected = [u for u in elements
+                    if is_theta_ideal(algebra, module.colon(n_space, u), "two")]
+        for u in elements:  # point queries fill and evict the class memo first
+            module.colon_cached(n_space, u)
+        assert len(module.colon_classes(n_space)._by_class) <= 3
+        assert list(sigma(module, n_space, "two")) == expected
+        assert list(sigma(module, n_space, "two")) == expected

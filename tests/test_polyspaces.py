@@ -28,7 +28,7 @@ from mathieuspaces.polyspaces import (
     standard_eval_config,
     support,
 )
-from mathieuspaces.verify import _subset_sums_nonzero
+from mathieuspaces.verify import _double_sum_integral, _subset_sums_nonzero
 
 THETAS = ("left", "right", "pre", "two")
 
@@ -407,3 +407,119 @@ def test_evaluate_keeps_its_validation():
         f.evaluate((Fraction(1, 2),))
     with pytest.raises(ValueError):
         upoly(1, 1).evaluate((1.5,))
+
+
+# -- differential tests of the integer univariate kernel ----------------------------
+
+
+def _naive_product(f: Poly, g: Poly) -> dict:
+    """Term-by-term product with Fraction sums, reduced mod p at the end."""
+    p = f.field.p
+    acc: dict = {}
+    for (i,), a in f.terms.items():
+        for (j,), b in g.terms.items():
+            acc[i + j] = acc.get(i + j, Fraction(0)) + Fraction(a) * Fraction(b)
+    if p is not None:
+        acc = {k: int(v) % p for k, v in acc.items()}
+    return {(k,): v for k, v in acc.items() if v}
+
+
+_Q_TERMS = st.dictionaries(st.tuples(st.integers(0, 12)),
+                           st.builds(Fraction, st.integers(-9, 9), st.integers(1, 8)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((None, 2, 3, 5, 7, 11, 13)), _Q_TERMS, _Q_TERMS)
+@example(None, {}, {(0,): Fraction(3)})
+@example(2, {(1,): Fraction(1), (0,): Fraction(1)}, {(1,): Fraction(1), (0,): Fraction(1)})
+@example(None, {(1,): Fraction(1), (0,): Fraction(1, 2)}, {(1,): Fraction(1), (0,): Fraction(-1, 2)})
+@example(3, {(0,): Fraction(2)}, {(4,): Fraction(2), (0,): Fraction(1)})
+def test_univariate_product_matches_naive_sum(p, f_terms, g_terms):
+    field = QQ if p is None else GF(p)
+    if p is not None:
+        f_terms = {e: c.numerator for e, c in f_terms.items()}
+        g_terms = {e: c.numerator for e, c in g_terms.items()}
+    f, g = Poly(field, 1, f_terms), Poly(field, 1, g_terms)
+    h = f * g
+    assert h.terms == _naive_product(f, g)
+    assert all(h.terms.values())
+    assert h == g * f
+    if p is None:
+        assert all(type(c) is Fraction for c in h.terms.values())
+    else:
+        assert all(c in range(p) for c in h.terms.values())
+
+
+def test_cancelling_univariate_product_over_gf2():
+    one_plus_z = Poly(GF(2), 1, {(0,): 1, (1,): 1})
+    assert (one_plus_z * one_plus_z).terms == {(0,): 1, (2,): 1}
+
+
+_X = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_Q_TERMS, _X)
+@example({(3,): Fraction(2, 3), (1,): Fraction(-1, 4), (0,): Fraction(5, 6)}, Fraction(0))
+@example({(3,): Fraction(2, 3), (1,): Fraction(-1, 4)}, Fraction(1))
+@example({(3,): Fraction(2, 3), (1,): Fraction(-1, 4)}, Fraction(-1))
+@example({(5,): Fraction(1, 7), (2,): Fraction(3, 2)}, Fraction(-7, 3))
+@example({(0,): Fraction(-5, 4)}, Fraction(3, 8))
+def test_rational_evaluate_matches_fraction_sum(terms, x):
+    f = Poly(QQ, 1, terms)
+    value = f.evaluate((x,))
+    assert type(value) is Fraction
+    assert value == sum((c * x ** e for (e,), c in f.terms.items()), Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_Q_TERMS, _Q_TERMS, _X, _X)
+@example({(0,): Fraction(1)}, {(0,): Fraction(1)}, Fraction(0), Fraction(1))
+@example({(2,): Fraction(1, 3)}, {(1,): Fraction(-2, 5)}, Fraction(-3, 2), Fraction(-1, 3))
+def test_exact_integral_matches_double_sum(f_terms, q_terms, a, b):
+    if a == b:
+        b = a + 1
+    f, q = Poly(QQ, 1, f_terms), Poly(QQ, 1, q_terms)
+    value = exact_integral(f, IntegralConfig(a, b, q))
+    assert type(value) is Fraction
+    assert value == _double_sum_integral(f, q, a, b)
+
+
+def test_sparse_huge_degree_products_stay_sparse():
+    # a dense convolution would need a list of 2 * 10^12 coefficients here
+    for field in (QQ, GF(7)):
+        z12 = Poly(field, 1, {(10 ** 12,): 1})
+        assert (z12 * z12).terms == {(2 * 10 ** 12,): field.one}
+        z9_plus_1 = Poly(field, 1, {(10 ** 9,): 1, (0,): 1})
+        square = z9_plus_1 * z9_plus_1
+        assert square.terms == {(2 * 10 ** 9,): field.one, (10 ** 9,): field.from_int(2),
+                                (0,): field.one}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_arithmetic_stores_no_zero_terms(field):
+    f = Poly(field, 1, {(0,): 1, (1,): 1, (3,): 2})
+    assert f.scale(0).terms == {}
+    assert (f - f).terms == {}
+    g = Poly(field, 1, {(0,): 1, (1,): -1})
+    h = f * g
+    assert all(h.terms.values())
+    # (1 + z)(1 - z) = 1 - z^2: the z terms cancel
+    assert (Poly(field, 1, {(0,): 1, (1,): 1}) * g).terms == {
+        (0,): field.one, (2,): field.from_int(-1)}
+    multi = Poly(field, 2, {(1, 0): 1, (0, 1): 1})
+    assert (multi - multi).terms == {} and multi.scale(0).terms == {}
+
+
+def test_scale_rejects_a_foreign_scalar():
+    with pytest.raises(ValueError):
+        upoly(1, 2).scale(0.5)
+    with pytest.raises(ValueError):
+        Poly(GF(3), 1, {(1,): 1}).scale(Fraction(1, 2))
+    assert Poly(GF(3), 1, {(1,): 1}).scale(-1).terms == {(1,): 2}
+
+
+@pytest.mark.parametrize("exp", [(1.5,), (1.0,), ("2",), (True,), (-1,), (1, 0), 1])
+def test_exponents_must_be_tuples_of_nonnegative_ints(exp):
+    with pytest.raises(ValueError):
+        Poly(QQ, 1, {exp: 1})
