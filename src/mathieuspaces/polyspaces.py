@@ -126,11 +126,9 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         field = self.field
-        c = field.check_scalar(c)
-        if not c:
-            return Poly._trusted(field, self.nvars, {})
-        mul = field.mul
-        return Poly._trusted(field, self.nvars, {e: mul(c, v) for e, v in self.terms.items()})
+        c, mul = field.check_scalar(c), field.mul
+        terms = {e: mul(c, v) for e, v in self.terms.items()} if c else {}
+        return Poly._trusted(field, self.nvars, terms)
 
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
