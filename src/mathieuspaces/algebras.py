@@ -322,6 +322,8 @@ def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict |
     """A concrete (element of J, basis multiplier) proof that J is not a
     theta-ideal, or None when it is one."""
     theta = normalize_theta(theta)
+    if j.is_full():
+        return None
     basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     if theta in ("left", "pre", "two"):
         for v in j.basis:

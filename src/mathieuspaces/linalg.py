@@ -8,6 +8,7 @@ structural equality and membership is a single reduction pass.
 from __future__ import annotations
 
 import itertools
+from operator import mul as _mul
 from typing import Iterator, Sequence
 
 from .fields import Field, same_field
@@ -29,16 +30,25 @@ def zero_vector(field: Field, n: int) -> tuple:
 
 
 def vec_add(field: Field, u: Sequence, v: Sequence) -> tuple:
-    add = field.add
-    return tuple(add(a, b) for a, b in zip(u, v))
+    p = field.p
+    if p is None:
+        add = field.add
+        return tuple(add(a, b) for a, b in zip(u, v))
+    return tuple((a + b) % p for a, b in zip(u, v))
 
 
 def vec_scale(field: Field, c, u: Sequence) -> tuple:
-    mul = field.mul
-    return tuple(mul(c, a) for a in u)
+    p = field.p
+    if p is None:
+        mul = field.mul
+        return tuple(mul(c, a) for a in u)
+    return tuple(c * a % p for a in u)
 
 
 def mat_vec(field: Field, rows: Sequence[Sequence], v: Sequence) -> tuple:
+    p = field.p
+    if p is not None:
+        return tuple(sum(map(_mul, row, v)) % p for row in rows)
     add, mul, zero = field.add, field.mul, field.zero
     out = []
     for row in rows:
@@ -51,8 +61,11 @@ def mat_vec(field: Field, rows: Sequence[Sequence], v: Sequence) -> tuple:
 
 
 def mat_mul(field: Field, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    add, mul, zero = field.add, field.mul, field.zero
+    p = field.p
     bt = list(zip(*b)) if b else []
+    if p is not None:
+        return tuple(tuple(sum(map(_mul, row, col)) % p for col in bt) for row in a)
+    add, mul, zero = field.add, field.mul, field.zero
     out = []
     for row in a:
         out.append(tuple(
@@ -77,8 +90,11 @@ def identity_matrix(field: Field, n: int) -> tuple:
 def rref_rows(field: Field, rows: Sequence[Sequence]):
     """Gauss-Jordan to canonical reduced row-echelon form.
 
-    Returns (canonical nonzero rows, pivot column list).
+    Returns (canonical nonzero rows, pivot column list).  Over GF(p) the rows
+    are plain ints, reduced once per entry and step; any int is accepted.
     """
+    if field.p is not None:
+        return _rref_mod(rows, field.p)
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     sub, mul, div = field.sub, field.mul, field.div
@@ -107,6 +123,35 @@ def rref_rows(field: Field, rows: Sequence[Sequence]):
     return [tuple(row) for row in work[:r]], pivots
 
 
+def _rref_mod(rows: Sequence[Sequence], p: int):
+    work = [[x % p for x in row] for row in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if work[i][c]:
+                break
+        else:
+            continue
+        prow = work[i]
+        work[i] = work[r]
+        if prow[c] != 1:
+            inv = pow(prow[c], p - 2, p)
+            prow = [x * inv % p for x in prow]
+        work[r] = prow
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
 class Subspace:
     """A linear subspace of coordinate space in canonical RREF basis form."""
 
@@ -130,7 +175,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(field, n, identity_matrix(field, n))
+        return cls._from_canonical(field, n, identity_matrix(field, n), range(n))
 
     @classmethod
     def _from_canonical(cls, field, n, basis, pivots) -> "Subspace":
@@ -155,6 +200,16 @@ class Subspace:
         """Residual of v after subtracting its projection on the basis."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        p = self.field.p
+        if p is not None:
+            # The basis is reduced, so the coefficient of row i is v[pivot_i]:
+            # subtract every multiple at once and reduce each entry once.
+            w = list(v)
+            for row, piv in zip(self.basis, self.pivots):
+                f = v[piv]
+                if f:
+                    w = [x - f * y for x, y in zip(w, row)]
+            return tuple(x % p for x in w)
         sub, mul = self.field.sub, self.field.mul
         w = list(v)
         for row, piv in zip(self.basis, self.pivots):
@@ -226,15 +281,23 @@ def solve_right_kernel(field: Field, rows: Sequence[Sequence], ncols: int | None
     reduced, pivots = rref_rows(field, rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
-    neg = field.neg
     gens = []
     for fc in free_cols:
         v = [field.zero] * ncols
         v[fc] = field.one
         for row, piv in zip(reduced, pivots):
-            v[piv] = neg(row[fc])
+            v[piv] = -row[fc]
         gens.append(v)
-    return Subspace(field, ncols, gens)
+    return _span(field, ncols, gens)
+
+
+def _span(field: Field, n: int, rows: Sequence[Sequence]) -> Subspace:
+    """The span of rows of field scalars computed in this module.  Over GF(p)
+    they are ints, whose rref is canonical without `Subspace.__init__`'s checks."""
+    if field.p is None:
+        return Subspace(field, n, rows)
+    basis, pivots = rref_rows(field, rows)
+    return Subspace._from_canonical(field, n, basis, pivots)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -257,21 +320,12 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     if not u.basis or not v.basis:
         return Subspace.zero(field, u.ambient_dim)
     # columns: u basis then negated v basis; kernel rows give matching combos
-    k, l = len(u.basis), len(v.basis)
-    stacked = []
-    for c in range(u.ambient_dim):
-        row = [u.basis[i][c] for i in range(k)]
-        row += [field.neg(v.basis[j][c]) for j in range(l)]
-        stacked.append(row)
-    ker = solve_right_kernel(field, stacked, k + l)
-    gens = []
-    for coeff in ker.basis:
-        w = zero_vector(field, u.ambient_dim)
-        for c, row in zip(coeff[:k], u.basis):
-            if c:
-                w = vec_add(field, w, vec_scale(field, c, row))
-        gens.append(w)
-    return Subspace(field, u.ambient_dim, gens)
+    k = len(u.basis)
+    stacked = [row_u + tuple(-x for x in row_v)
+               for row_u, row_v in zip(zip(*u.basis), zip(*v.basis))]
+    ker = solve_right_kernel(field, stacked, k + len(v.basis))
+    u_cols = tuple(zip(*u.basis))
+    return _span(field, u.ambient_dim, [mat_vec(field, u_cols, coeff[:k]) for coeff in ker.basis])
 
 
 def subspace_contains(u: Subspace, v: Sequence) -> bool:

@@ -209,12 +209,17 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     """J is theta-Mathieu iff the theta-ideal of every idempotent in J stays in J.
 
     Valid here because finite-dimensional algebras over a field are algebraic.
+    The whole algebra is Mathieu without a scan, once the field and the cap
+    would admit one.
     """
     theta = normalize_theta(theta)
     if algebra.field.is_rational:
         raise ValueError("idempotent enumeration needs a finite field")
     if j.ambient_dim != algebra.dim or j.field != algebra.field:
         raise ValueError("subspace does not live in this algebra")
+    _check_finite(algebra, cap)
+    if j.is_full():
+        return MathieuVerdict(True)
     basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
     for e in algebra.idempotents(cap):
         if not j.contains(e):

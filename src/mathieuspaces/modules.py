@@ -202,12 +202,21 @@ class ColonClasses:
     space is computed.  Point queries keep the colon spaces of the last
     COLON_CACHE_SIZE classes, oldest out first; once `member_index` has
     enumerated the module, every class is kept.
+
+    With R_N the residual map of N (kernel N), a.u lies in N iff
+    sum_i a_i F_i u = 0 for F_i = R_N A_i.  The F_i are composed once per N,
+    so a class costs one matrix-vector product and one kernel.
     """
 
     def __init__(self, module: ModuleSpace, n_space: Subspace):
         self.module = module
         self.n_space = n_space
         self.submodule = module.max_submodule(n_space)
+        resid = residual_matrix(n_space)
+        self._codim = len(resid)
+        # row i*codim + r is row r of F_i
+        self._forms = tuple(row for action in module.actions
+                            for row in mat_mul(module.field, resid, action))
         self._by_class: dict = {}  # class representative -> colon space
         self._by_basis: dict = {}  # colon basis -> the one colon space object with it
         self._bounded = True
@@ -229,9 +238,18 @@ class ColonClasses:
                 for memo in (self._by_class, self._by_basis):
                     if len(memo) >= COLON_CACHE_SIZE:
                         del memo[next(iter(memo))]
-            hit = self.module.colon(self.n_space, rep)
+            hit = self._colon_space(rep)
             hit = self._by_class[rep] = self._by_basis.setdefault(hit.basis, hit)
         return hit
+
+    def _colon_space(self, u: Sequence) -> Subspace:
+        """(N:u) as the kernel of the codim x dim_A matrix with columns F_i u."""
+        field, k = self.module.field, self._codim
+        if not k:
+            return Subspace.full(field, self.module.algebra.dim)
+        images = mat_vec(field, self._forms, u)
+        return solve_right_kernel(field, [images[r::k] for r in range(k)],
+                                  self.module.algebra.dim)
 
     def member_index(self, cap: int) -> tuple | None:
         """(colons, index): the distinct colon spaces of N, and for every u in

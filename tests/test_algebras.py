@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieuspaces.algebras import (
+    BUILDERS,
+    THETAS,
     Algebra,
     AlgebraAxiomError,
     field_algebra,
+    ideal_violation_witness,
     matrix_algebra,
     opposite,
     product_algebra,
@@ -356,3 +359,18 @@ def test_mult_table_build_multiplies_count_times_dim(monkeypatch):
     assert calls <= algebra.element_count() * algebra.dim == 2500
     assert table[algebra.index_of((1, 2, 3, 4))][algebra.index_of((0, 1, 1, 0))] \
         == algebra.index_of((2, 1, 4, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_full_subspace_is_an_ideal_without_a_product(kind, monkeypatch):
+    build, size = BUILDERS[kind]
+    for p in (2, 3):
+        algebra = build(2, p) if size else build(p)
+        calls = []
+        multiply = algebra.multiply
+        monkeypatch.setattr(algebra, "multiply",
+                            lambda a, b: calls.append(1) or multiply(a, b))
+        for theta in THETAS:
+            assert ideal_violation_witness(
+                algebra, Subspace.full(algebra.field, algebra.dim), theta) is None
+        assert not calls

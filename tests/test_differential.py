@@ -27,7 +27,7 @@ from mathieuspaces.mathieu import (
     sigma,
     tau,
 )
-from mathieuspaces.modules import ModuleSpace, column_module, natural_module
+from mathieuspaces.modules import ColonClasses, column_module, natural_module
 from mathieuspaces.verify import Profile, _module_zoo, _random_subspace
 
 THETAS = ("left", "right", "pre", "two")
@@ -236,15 +236,39 @@ def test_class_built_sigma_over_q_against_the_per_element_oracle():
                     assert (v in lazy) == want
 
 
+def _subspace_of_dim(rng, field, dim, k):
+    """A random subspace of dimension exactly k."""
+    while True:
+        rows = [tuple(rng.randrange(field.p) for _ in range(dim)) for _ in range(k)]
+        n_space = Subspace(field, dim, rows)
+        if n_space.dim == k:
+            return n_space
+
+
+def test_class_map_colon_spaces_against_the_per_query_colon():
+    rng = random.Random(433)
+    modules = _module_zoo(Profile(primes=(2, 3))) + [natural_module(matrix_algebra(2, 5))]
+    for module in modules:
+        for k in range(module.dim + 1):  # every codimension of N
+            n_space = _subspace_of_dim(rng, module.field, module.dim, k)
+            classes = ColonClasses(module, n_space)
+            for u in enumerate_vectors(module.field, module.dim):
+                want = module.colon(n_space, u)
+                # from the composed forms for any u, not only class representatives
+                assert classes._colon_space(u) == want
+                assert classes.colon(u) == want
+
+
 def _count_colon_calls(monkeypatch):
+    """Count the colon spaces the class map computes (one kernel each)."""
     calls = [0]
-    original = ModuleSpace.colon
+    original = ColonClasses._colon_space
 
-    def counting(self, n_space, u):
+    def counting(self, u):
         calls[0] += 1
-        return original(self, n_space, u)
+        return original(self, u)
 
-    monkeypatch.setattr(ModuleSpace, "colon", counting)
+    monkeypatch.setattr(ColonClasses, "_colon_space", counting)
     return calls
 
 

@@ -13,6 +13,7 @@ from mathieuspaces.linalg import (
     gaussian_binomial,
     preimage_subspace,
     rref,
+    rref_rows,
     solve_right_kernel,
     subspace_contains,
     subspace_count,
@@ -169,3 +170,108 @@ def test_preimage_subspace():
     assert pre.basis == ((1, 1),)
     full = preimage_subspace(F2, [(1, 1)], Subspace.full(F2, 1), 2)
     assert full.is_full()
+
+
+def test_reduce_returns_canonical_residues():
+    # (0, 5) is zero in GF(5); a residue left at 5 or 7 would miss that
+    line = Subspace(GF(5), 2, [(1, 0)])
+    assert line.contains((0, 5))
+    assert line.contains((12, -10))
+    assert line.reduce((0, 7)) == (0, 2)
+    assert line.reduce((6, -1)) == (0, 4)
+    assert not line.contains((0, 7))
+
+
+# -- GF(p) integer path against a naive Gauss-Jordan on Field methods ------------
+
+
+def naive_rref(field, rows):
+    """Gauss-Jordan with one Field method call per scalar operation."""
+    work = [[field.check_scalar(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        found = next((i for i in range(r, len(work)) if work[i][c] != field.zero), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != field.zero:
+                f = work[i][c]
+                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def naive_kernel(field, rows, ncols):
+    reduced, pivots = naive_rref(field, rows)
+    gens = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for row, piv in zip(reduced, pivots):
+            v[piv] = field.neg(row[fc])
+        gens.append(v)
+    return naive_rref(field, gens)[0]
+
+
+def naive_reduce(field, basis, pivots, v):
+    w = [field.check_scalar(x) for x in v]
+    for row, piv in zip(basis, pivots):
+        f = w[piv]
+        w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def naive_intersect(field, u_basis, v_basis, n):
+    k = len(u_basis)
+    stacked = [[u_basis[i][c] for i in range(k)] + [field.neg(row[c]) for row in v_basis]
+               for c in range(n)]
+    gens = []
+    for coeff in naive_kernel(field, stacked, k + len(v_basis)):
+        w = [field.zero] * n
+        for c, row in zip(coeff[:k], u_basis):
+            w = [field.add(x, field.mul(c, y)) for x, y in zip(w, row)]
+        gens.append(w)
+    return naive_rref(field, gens)[0]
+
+
+@st.composite
+def _int_matrix(draw):
+    """A prime, a width, and rows of ints, most of them outside range(p)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(1, 6))
+    entries = st.integers(-3 * p, 3 * p)
+    rows = draw(st.lists(st.tuples(*[entries] * ncols), max_size=6))
+    return GF(p), ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrix())
+def test_integer_rref_and_kernel_match_the_naive_gauss_jordan(case):
+    field, ncols, rows = case
+    assert rref_rows(field, rows) == naive_rref(field, rows)
+    if rows:
+        kernel = solve_right_kernel(field, rows, ncols)
+        assert kernel.basis == tuple(naive_kernel(field, rows, ncols))
+        assert all(x in range(field.p) for row in kernel.basis for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrix(), st.data())
+def test_integer_reduce_and_intersect_match_the_naive_gauss_jordan(case, data):
+    field, ncols, rows = case
+    u = Subspace(field, ncols, rows)
+    entries = st.integers(-3 * field.p, 3 * field.p)
+    other = data.draw(st.lists(st.tuples(*[entries] * ncols), max_size=6))
+    v = Subspace(field, ncols, other)
+    assert u.basis == tuple(naive_rref(field, rows)[0])
+    w = data.draw(st.tuples(*[entries] * ncols))
+    residual = u.reduce(w)
+    assert residual == naive_reduce(field, u.basis, u.pivots, w)
+    assert u.contains(w) == (not any(residual))
+    meet = subspace_intersect(u, v)
+    assert meet.basis == tuple(naive_intersect(field, u.basis, v.basis, ncols))

@@ -5,6 +5,7 @@ import pytest
 
 from mathieuspaces.algebras import (
     THETAS,
+    Algebra,
     field_algebra,
     ideal_violation_witness,
     matrix_algebra,
@@ -674,3 +675,26 @@ def test_element_index_survives_point_query_eviction(monkeypatch):
         assert len(module.colon_classes(n_space)._by_class) <= 3
         assert list(sigma(module, n_space, "two")) == expected
         assert list(sigma(module, n_space, "two")) == expected
+
+
+def test_full_subspace_is_mathieu_without_a_product(monkeypatch):
+    algebra = matrix_algebra(3, 2)
+    full = Subspace.full(F2, 9)
+    calls = []
+    multiply = Algebra.multiply
+    monkeypatch.setattr(Algebra, "multiply",
+                        lambda self, a, b: calls.append(1) or multiply(self, a, b))
+    for theta in THETAS:
+        verdict = is_theta_mathieu_idempotent(algebra, full, theta)
+        assert verdict.is_mathieu and verdict.witness is None
+    assert not calls
+
+
+def test_full_subspace_still_respects_the_cap_and_the_field():
+    algebra = matrix_algebra(3, 2)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        is_theta_mathieu_idempotent(algebra, Subspace.full(F2, 9), "two", cap=511)
+    assert (err.value.count, err.value.cap) == (512, 511)
+    assert is_theta_mathieu_idempotent(algebra, Subspace.full(F2, 9), "two", cap=512)
+    with pytest.raises(ValueError, match="finite field"):
+        is_theta_mathieu_idempotent(matrix_algebra(2, QQ), Subspace.full(QQ, 4), "left")
