@@ -95,6 +95,11 @@ class Algebra:
         if len(self.unit) != dim:
             raise AlgebraAxiomError(f"unit has {len(self.unit)} coordinates, expected {dim}")
         self.name = name or f"algebra(dim {dim} over {field!r})"
+        one, zero = field.one, field.zero
+        # the standard basis e_0, ..., e_(dim-1), and p^dim (None over Q)
+        self._basis = tuple(tuple(one if k == i else zero for k in range(dim))
+                            for i in range(dim))
+        self._count = None if field.is_rational else vector_count(field, dim)
         self._sparse = tuple(
             tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
             for row in self.structure
@@ -111,9 +116,7 @@ class Algebra:
     # -- construction-time axioms -------------------------------------------
 
     def _validate(self):
-        dim = self.dim
-        basis = [tuple(self.field.one if k == i else self.field.zero for k in range(dim))
-                 for i in range(dim)]
+        dim, basis = self.dim, self._basis
         for i in range(dim):
             if self.multiply(self.unit, basis[i]) != basis[i]:
                 raise AlgebraAxiomError(f"unit axiom fails: 1 * e_{i} != e_{i}")
@@ -135,7 +138,7 @@ class Algebra:
         return zero_vector(self.field, self.dim)
 
     def basis_vector(self, i: int) -> tuple:
-        return tuple(self.field.one if k == i else self.field.zero for k in range(self.dim))
+        return self._basis[i]
 
     def multiply(self, a: Sequence, b: Sequence) -> tuple:
         dim = self.dim
@@ -169,7 +172,9 @@ class Algebra:
     # -- element enumeration ----------------------------------------------------
 
     def element_count(self) -> int:
-        return vector_count(self.field, self.dim)
+        if self._count is None:  # over Q, where vector_count refuses
+            return vector_count(self.field, self.dim)
+        return self._count
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[tuple]:
         return enumerate_vectors(self.field, self.dim, cap)
@@ -202,11 +207,10 @@ class Algebra:
         # once, and a row's indices are assembled digit by digit, big-endian
         # like index_of.
         p = self.field.p
-        basis = [self.basis_vector(j) for j in range(self.dim)]
         form_values: dict = {}
         table = []
         for a in self.element_list():
-            cols = [self.multiply(a, e) for e in basis]
+            cols = [self.multiply(a, e) for e in self._basis]
             row = [0] * count
             for form in zip(*cols):
                 values = form_values.get(form)
@@ -290,7 +294,7 @@ class Algebra:
 
     def theta_ideal_generated(self, a: Sequence, theta: str) -> Subspace:
         theta = normalize_theta(theta)
-        basis = [self.basis_vector(i) for i in range(self.dim)]
+        basis = self._basis
         a = tuple(a)
         if theta == "left":
             gens = [self.multiply(b, a) for b in basis]
@@ -324,7 +328,7 @@ def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict |
     theta = normalize_theta(theta)
     if j.is_full():
         return None
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    basis = algebra._basis
     if theta in ("left", "pre", "two"):
         for v in j.basis:
             for b in basis:

@@ -2,7 +2,8 @@
 
 Vectors are tuples of scalars, matrices are tuples of row tuples.  Every
 subspace is stored as its reduced row-echelon basis, so set equality is
-structural equality and membership is a single reduction pass.
+structural equality.  Over GF(p) membership is one dot product per row of
+the residual matrix (codim of them); over Q it is a single reduction pass.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _rref_mod(rows: Sequence[Sequence], p: int):
 class Subspace:
     """A linear subspace of coordinate space in canonical RREF basis form."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_residual")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Sequence[Sequence] = ()):
         for row in rows:
@@ -168,6 +169,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
+        self._residual = None
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Subspace":
@@ -184,6 +186,7 @@ class Subspace:
         s.ambient_dim = n
         s.basis = tuple(basis)
         s.pivots = tuple(pivots)
+        s._residual = None
         return s
 
     @property
@@ -219,7 +222,19 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        p = self.field.p
+        if p is None:
+            return not any(self.reduce(v))
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        # v lies in the subspace iff every residual coordinate of v vanishes
+        rows = self._residual
+        if rows is None:
+            rows = self._residual = residual_matrix(self)
+        for row in rows:
+            if sum(map(_mul, row, v)) % p:
+                return False
+        return True
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)

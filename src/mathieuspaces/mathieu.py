@@ -56,7 +56,9 @@ class ElementSet:
         return self.members is not None
 
     def __contains__(self, u) -> bool:
-        u = tuple(u)
+        u = tuple(self.field.check_scalar(x) for x in u)
+        if len(u) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(u)} in ambient dimension {self.ambient_dim}")
         if self._member_set is not None:
             return u in self._member_set
         return self.predicate(u)
@@ -220,7 +222,7 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     _check_finite(algebra, cap)
     if j.is_full():
         return MathieuVerdict(True)
-    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    basis = algebra._basis
     for e in algebra.idempotents(cap):
         if not j.contains(e):
             continue
@@ -320,9 +322,9 @@ def _witness(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -
     key = (method, theta, j.basis)
     memo = algebra._memo
     if key in memo:
-        if method != "ideal" and algebra.element_count() > cap:
+        if method != "ideal" and algebra._count > cap:
             # a cold decision enumerates the algebra and would refuse
-            raise EnumerationCapExceeded(algebra.element_count(), cap)
+            raise EnumerationCapExceeded(algebra._count, cap)
         return memo[key]
     if method == "ideal":
         witness = ideal_violation_witness(algebra, j, theta)
@@ -348,19 +350,20 @@ def stable_sets(module: ModuleSpace, n_space: Subspace, cap: int, verdict,
     """Elements u whose colon space (N:u) passes `verdict`.
 
     The verdict runs once per distinct colon space of N (`ColonClasses`), not
-    once per element; members follow `enumerate_vectors` order.  Over Q or
-    beyond the cap the set is a membership predicate through the same
-    class map.
+    once per element, and the members are the classes that pass, expanded
+    and sorted into `enumerate_vectors` order.  Over Q or beyond the cap the
+    set is a membership predicate through the same class map.
     """
     classes = module.colon_classes(n_space)
-    enumerated = classes.member_index(cap)
-    if enumerated is None:
+    groups = classes.classes(cap)
+    if groups is None:
         return ElementSet(module.field, module.dim, note=note,
                           predicate=lambda u: verdict(classes.colon(u)))
-    colons, index = enumerated
-    passed = [verdict(j) for j in colons]
-    members = [u for u, k in zip(enumerate_vectors(module.field, module.dim, cap), index)
-               if passed[k]]
+    passed = [reps for colon, reps in groups if verdict(colon)]
+    if len(passed) == len(groups):
+        members = enumerate_vectors(module.field, module.dim, cap)
+    else:
+        members = sorted(classes.members([r for reps in passed for r in reps]))
     return ElementSet(module.field, module.dim, members=members, note=note)
 
 

@@ -7,19 +7,20 @@ algebra subspaces and is computed as a kernel.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from .algebras import Algebra, opposite
 from .linalg import (
     Subspace,
     _dot,
-    enumerate_vectors,
     identity_matrix,
     image_subspace,
     mat_mul,
     mat_vec,
     preimage_subspace,
     residual_matrix,
+    rref_rows,
     solve_right_kernel,
     subspace_intersect,
     vec_add,
@@ -28,8 +29,9 @@ from .linalg import (
     zero_vector,
 )
 
-# Subspaces N whose colon classes one module keeps, and classes of u whose
-# colon spaces a point query keeps for one N; the oldest goes first.
+# Subspaces N whose colon classes one module keeps, colon spaces one module
+# keeps by the row space that defines them, and classes of u whose colon spaces
+# a point query keeps for one N; the oldest goes first.
 COLON_CACHE_SIZE = 256
 
 
@@ -56,6 +58,7 @@ class ModuleSpace:
                 raise ModuleAxiomError(f"action matrix {i} is not {self.dim} x {self.dim}")
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
         self._colon_classes: dict = {}
+        self._colons: dict = {}  # canonical rows of C_N(u) -> (N:u); see ColonClasses
         if check:
             self._validate()
 
@@ -199,13 +202,16 @@ class ColonClasses:
     (N:cu) = (N:u) for a scalar c != 0, and (N:u+v) = (N:u) for v in the
     largest submodule V inside N.  So u is reduced modulo V and scaled until
     its first nonzero coordinate is 1, and only that representative's colon
-    space is computed.  Point queries keep the colon spaces of the last
-    COLON_CACHE_SIZE classes, oldest out first; once `member_index` has
-    enumerated the module, every class is kept.
+    space is computed.  The representatives are exactly zero and the vectors
+    on the non-pivot coordinates of V whose first nonzero entry is 1, so over
+    GF(p) `classes` lists them instead of reducing every element.  Point
+    queries keep the colon spaces of the last COLON_CACHE_SIZE classes, oldest
+    out first.
 
     With R_N the residual map of N (kernel N), a.u lies in N iff
     sum_i a_i F_i u = 0 for F_i = R_N A_i.  The F_i are composed once per N,
-    so a class costs one matrix-vector product and one kernel.
+    so a class costs one matrix-vector product and one row reduction; the
+    kernel is built only for a row space the module has not seen.
     """
 
     def __init__(self, module: ModuleSpace, n_space: Subspace):
@@ -218,9 +224,7 @@ class ColonClasses:
         self._forms = tuple(row for action in module.actions
                             for row in mat_mul(module.field, resid, action))
         self._by_class: dict = {}  # class representative -> colon space
-        self._by_basis: dict = {}  # colon basis -> the one colon space object with it
-        self._bounded = True
-        self._member_index: tuple | None = None
+        self._classes: list | None = None
 
     def representative(self, u: Sequence) -> tuple:
         field = self.module.field
@@ -232,46 +236,76 @@ class ColonClasses:
 
     def colon(self, u: Sequence) -> Subspace:
         rep = self.representative(u)
-        hit = self._by_class.get(rep)
+        memo = self._by_class
+        hit = memo.get(rep)
         if hit is None:
-            if self._bounded:
-                for memo in (self._by_class, self._by_basis):
-                    if len(memo) >= COLON_CACHE_SIZE:
-                        del memo[next(iter(memo))]
-            hit = self._colon_space(rep)
-            hit = self._by_class[rep] = self._by_basis.setdefault(hit.basis, hit)
+            if len(memo) >= COLON_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            hit = memo[rep] = self._colon_space(rep)
         return hit
 
     def _colon_space(self, u: Sequence) -> Subspace:
-        """(N:u) as the kernel of the codim x dim_A matrix with columns F_i u."""
-        field, k = self.module.field, self._codim
-        if not k:
-            return Subspace.full(field, self.module.algebra.dim)
+        """(N:u) as the kernel of C_N(u), the codim x dim_A matrix with columns
+        F_i u.  The kernel depends only on the row space of C_N(u), so the
+        module keeps its last COLON_CACHE_SIZE kernels by canonical rows,
+        shared by every N."""
+        module, k = self.module, self._codim
+        field = module.field
         images = mat_vec(field, self._forms, u)
-        return solve_right_kernel(field, [images[r::k] for r in range(k)],
-                                  self.module.algebra.dim)
+        rows, _ = rref_rows(field, [images[r::k] for r in range(k)])
+        key = tuple(rows)
+        memo = module._colons
+        hit = memo.get(key)
+        if hit is None:
+            if len(memo) >= COLON_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            hit = memo[key] = solve_right_kernel(field, rows, module.algebra.dim)
+        return hit
 
-    def member_index(self, cap: int) -> tuple | None:
-        """(colons, index): the distinct colon spaces of N, and for every u in
-        `enumerate_vectors` order the position of (N:u) in `colons`; None when
-        the module is over Q or has more than `cap` elements."""
+    def classes(self, cap: int) -> list | None:
+        """[(colon, representatives)]: each distinct colon space of N with the
+        class representatives that have it, the group of zero first; None
+        when the module is over Q or has more than `cap` elements."""
         field, dim = self.module.field, self.module.dim
         if field.is_rational or vector_count(field, dim) > cap:
             return None
-        if self._member_index is None:
-            self._bounded = False
-            colons: list = []
-            positions: dict = {}  # colon basis -> position in colons
-            index = []
-            for u in enumerate_vectors(field, dim, cap):
-                colon = self.colon(u)
-                pos = positions.get(colon.basis)
-                if pos is None:
-                    pos = positions[colon.basis] = len(colons)
-                    colons.append(colon)
-                index.append(pos)
-            self._member_index = colons, index
-        return self._member_index
+        if self._classes is None:
+            groups: dict = {}  # colon basis -> (colon, representatives)
+            for rep in self._representatives():
+                colon = self._colon_space(rep)
+                groups.setdefault(colon.basis, (colon, []))[1].append(rep)
+            self._classes = list(groups.values())
+        return self._classes
+
+    def _representatives(self):
+        """Zero, then every vector on the non-pivot coordinates of the
+        submodule with first nonzero entry 1, in lexicographic order."""
+        p, dim = self.module.field.p, self.module.dim
+        pivots = set(self.submodule.pivots)
+        free = [c for c in range(dim) if c not in pivots]
+        yield (0,) * dim
+        for t in range(len(free) - 1, -1, -1):
+            for tail in itertools.product(range(p), repeat=len(free) - 1 - t):
+                v = [0] * dim
+                v[free[t]] = 1
+                for c, x in zip(free[t + 1:], tail):
+                    v[c] = x
+                yield tuple(v)
+
+    def members(self, reps: Sequence) -> list:
+        """Every u whose class representative is in `reps`, unsorted: the
+        submodule V for the zero representative, c*r + V (c != 0) for r."""
+        p = self.module.field.p
+        inside = list(self.submodule.elements())
+        out = []
+        for r in reps:
+            if not any(r):
+                out += inside
+                continue
+            for c in range(1, p):
+                cr = [c * x for x in r]
+                out += [tuple((a + b) % p for a, b in zip(cr, v)) for v in inside]
+        return out
 
 
 class ModuleHom:

@@ -195,8 +195,9 @@ def per_element_oracle(module, n_space, theta):
 def test_class_built_sets_against_the_per_element_oracle():
     rng = random.Random(419)
     for module in _module_zoo(Profile(primes=(2, 3))):
-        for _ in range(4):
-            n_space = _random_subspace(rng, module.field, module.dim)
+        field, dim = module.field, module.dim
+        spaces = [_random_subspace(rng, field, dim) for _ in range(4)]
+        for n_space in spaces + [Subspace.zero(field, dim), Subspace.full(field, dim)]:
             for theta in THETAS:
                 want_sigma, want_tau = per_element_oracle(module, n_space, theta)
                 assert list(sigma(module, n_space, theta)) == want_sigma
@@ -249,10 +250,28 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
     rng = random.Random(433)
     modules = _module_zoo(Profile(primes=(2, 3))) + [natural_module(matrix_algebra(2, 5))]
     for module in modules:
-        for k in range(module.dim + 1):  # every codimension of N
-            n_space = _subspace_of_dim(rng, module.field, module.dim, k)
+        field, dim = module.field, module.dim
+        elements = list(enumerate_vectors(field, dim))
+        for k in range(dim + 1):  # every codimension of N, N = 0 and N = M included
+            n_space = _subspace_of_dim(rng, field, dim, k)
+            module._colons.clear()
             classes = ColonClasses(module, n_space)
-            for u in enumerate_vectors(module.field, module.dim):
+            # the listed representatives are those of the elements, once each
+            groups = classes.classes(len(elements))
+            reps = [r for _colon, members in groups for r in members]
+            assert reps[0] == (0,) * dim and len(reps) == len(set(reps))
+            assert set(reps) == {classes.representative(u) for u in elements}
+            p, free = field.p, dim - classes.submodule.dim
+            assert len(reps) == (p ** free - 1) // (p - 1) + 1
+            assert sorted(classes.members(reps)) == elements
+            for colon, members in groups:
+                assert all(module.colon(n_space, r) == colon for r in members)
+            # one memo entry per row space, each the kernel of its rows
+            assert {colon.basis for colon in module._colons.values()} \
+                == {colon.basis for colon, _members in groups}
+            for rows, colon in module._colons.items():
+                assert colon == solve_right_kernel(field, rows, module.algebra.dim)
+            for u in elements:
                 want = module.colon(n_space, u)
                 # from the composed forms for any u, not only class representatives
                 assert classes._colon_space(u) == want
@@ -287,3 +306,29 @@ def test_trace_hyperplane_sets_compute_one_colon_space_per_class(monkeypatch):
             sigma(module, h_x, theta)
             tau(module, h_x, theta)
         assert calls[0] == want
+
+
+def test_trace_hyperplanes_share_colon_kernels_across_n(monkeypatch):
+    from mathieuspaces import modules
+
+    kernels = [0]
+    original = modules.solve_right_kernel
+
+    def counting(*args, **kwargs):
+        kernels[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "solve_right_kernel", counting)
+    n, p = 2, 5
+    module = natural_module(matrix_algebra(n, p))
+    # (H_X : U) = H_(UX), or everything when UX = 0: 156 hyperplanes and the
+    # whole algebra, whatever the 36 hyperplanes H_X
+    xs = [x for x in itertools.product(range(p), repeat=n * n)
+          if any(x) and next(v for v in x if v) == 1][:36]
+    for x in xs:
+        functional = tuple(x[j * n + i] for i in range(n) for j in range(n))
+        h_x = solve_right_kernel(module.field, [functional], n * n)
+        for theta in ("left", "two"):
+            sigma(module, h_x, theta)
+            tau(module, h_x, theta)
+    assert 0 < kernels[0] <= 157

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mathieuspaces.fields import GF, QQ
@@ -275,3 +275,55 @@ def test_integer_reduce_and_intersect_match_the_naive_gauss_jordan(case, data):
     assert u.contains(w) == (not any(residual))
     meet = subspace_intersect(u, v)
     assert meet.basis == tuple(naive_intersect(field, u.basis, v.basis, ncols))
+
+
+def naive_contains(field, basis, pivots, v):
+    """Membership by a full reduction on Field methods."""
+    return not any(x != field.zero for x in naive_reduce(field, basis, pivots, v))
+
+
+@st.composite
+def _subspace_and_vector(draw):
+    """A prime, a subspace of every dimension from zero to full in canonical
+    form, and a vector of unreduced ints: a random one, or a combination of
+    the basis shifted by multiples of p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    rows = []
+    for piv in pivots:
+        row = [0] * n
+        row[piv] = 1
+        for c in range(piv + 1, n):
+            if c not in pivots:
+                row[c] = draw(st.integers(0, p - 1))
+        rows.append(tuple(row))
+    j = Subspace._from_canonical(GF(p), n, rows, pivots)
+    entries = st.integers(-3 * p, 3 * p)
+    if draw(st.booleans()):
+        v = draw(st.tuples(*[entries] * n))
+    else:
+        coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        shift = draw(st.tuples(*[st.integers(-3, 3)] * n))
+        v = tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) + p * s
+                  for i, s in enumerate(shift))
+    return j, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_and_vector())
+@example((Subspace.zero(GF(7), 3), (7, -14, 0)))
+@example((Subspace.zero(GF(2), 2), (3, 0)))
+@example((Subspace.full(GF(5), 3), (12, -1, 26)))
+def test_residual_row_membership_matches_the_naive_reduction(case):
+    j, v = case
+    assert j == Subspace(j.field, j.ambient_dim, j.basis)
+    want = naive_contains(j.field, j.basis, j.pivots, v)
+    assert j.contains(v) == want
+    assert j.contains(v) == want  # again, from the stored residual rows
+    if j.is_full():
+        assert want
+    if j.is_zero():
+        assert want == all(x % j.field.p == 0 for x in v)
+    with pytest.raises(ValueError):
+        j.contains(v + (0,))

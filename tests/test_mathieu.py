@@ -656,7 +656,7 @@ def test_point_query_class_memo_stays_at_its_bound(monkeypatch):
     stable = sigma(module, n_space, "left")
     assert [u in stable for u in us] == expected
     classes = module.colon_classes(n_space)
-    assert len(classes._by_class) == 8 and len(classes._by_basis) <= 8
+    assert len(classes._by_class) == 8 and len(module._colons) <= 8
     assert [u in stable for u in us] == expected
 
 
@@ -675,6 +675,7 @@ def test_element_index_survives_point_query_eviction(monkeypatch):
         assert len(module.colon_classes(n_space)._by_class) <= 3
         assert list(sigma(module, n_space, "two")) == expected
         assert list(sigma(module, n_space, "two")) == expected
+        assert len(module._colons) <= 3 and len(module._colon_classes) <= 3
 
 
 def test_full_subspace_is_mathieu_without_a_product(monkeypatch):
@@ -698,3 +699,44 @@ def test_full_subspace_still_respects_the_cap_and_the_field():
     assert is_theta_mathieu_idempotent(algebra, Subspace.full(F2, 9), "two", cap=512)
     with pytest.raises(ValueError, match="finite field"):
         is_theta_mathieu_idempotent(matrix_algebra(2, QQ), Subspace.full(QQ, 4), "left")
+
+
+def test_warm_memo_hit_reads_the_stored_element_count(monkeypatch):
+    from mathieuspaces import algebras, linalg
+    from mathieuspaces.mathieu import _witness
+
+    algebra = matrix_algebra(2, 3)
+    j = Subspace(F3, 4, [E11])
+    cold = _witness(algebra, j, "left", "idem", 81)
+    calls = []
+
+    def counting(field, dim):
+        calls.append(dim)
+        return linalg.vector_count(field, dim)
+
+    monkeypatch.setattr(algebras, "vector_count", counting)
+    assert _witness(algebra, j, "left", "idem", 81) == cold
+    with pytest.raises(EnumerationCapExceeded):
+        _witness(algebra, j, "left", "idem", 80)
+    assert calls == []
+    assert algebra.element_count() == 81
+    assert algebra.basis_vector(2) == (0, 0, 1, 0)
+    assert algebra.basis_vector(2) is algebra.basis_vector(2)
+
+
+def test_element_set_membership_is_the_same_explicit_or_not():
+    algebra = matrix_algebra(2, 5)
+    module = column_module(algebra, 2)
+    zero = Subspace.zero(GF(5), 2)
+    # (0:u) is the left annihilator of u: always a left ideal, a right one
+    # only for u = 0
+    for theta, inside in (("left", True), ("right", False)):
+        explicit = sigma(module, zero, theta)
+        lazy = sigma(module, zero, theta, cap=10)
+        assert explicit.is_explicit and not lazy.is_explicit
+        for s in (explicit, lazy):
+            assert (0, 5) in s and (0, 0) in s and (5, -10) in s
+            assert ((1, 2) in s) == ((6, -3) in s) == inside
+            for bad in ((1, 2, 3), (1,), (0, 0.5)):
+                with pytest.raises(ValueError):
+                    bad in s
