@@ -135,16 +135,10 @@ class Poly:
             raise ValueError("evaluation point has the wrong arity")
         field = self.field
         point = [field.check_scalar(x) for x in point]
-        if self.nvars == 1:
-            return _horner(((e, c) for (e,), c in self.terms.items()), point[0], field.p)
-        acc = field.zero
-        for exp, coef in self.terms.items():
-            term = coef
-            for x, e in zip(point, exp):
-                if e:
-                    term = field.mul(term, _pow(field, x, e))
-            acc = field.add(acc, term)
-        return acc
+        if self.nvars != 1:
+            return _term_loop(self.terms, point, field)
+        (value,) = _univariate_values(self, point)
+        return value if field.p is not None else Fraction(*value)
 
     def _compat(self, other: "Poly"):
         if self.field != other.field or self.nvars != other.nvars:
@@ -192,20 +186,28 @@ def _convolve(f: dict, g: dict, p: int | None) -> dict:
     return {(k,): r for k, v in acc.items() if (r := v % p)}
 
 
-def _horner(terms, x, p: int | None):
-    """Value at x of the univariate polynomial with the given (exponent,
-    coefficient) terms: over GF(p) reduced mod p at each step, over Q (p is
-    None) on integer numerators by `_horner_cleared`.
+def _univariate_values(f: Poly, xs: Sequence) -> list:
+    """Values of the univariate f at each canonical scalar in xs: residues
+    over GF(p), integer pairs (n, d) with value n/d over Q.  The terms are
+    sorted once and, over Q, cleared of denominators once for all of xs."""
+    p = f.field.p
+    terms = sorted([(e, c) for (e,), c in f.terms.items()], reverse=True)
+    if not terms:
+        return [0 if p is not None else (0, 1) for _ in xs]
+    if p is not None:
+        return [_horner(terms, x, p) for x in xs]
+    nums, den = _cleared(terms)
+    return [_horner_cleared(nums, den, x) for x in xs]
+
+
+def _horner(terms: list, x: int, p: int) -> int:
+    """Value at the residue x of the polynomial with the given (exponent,
+    coefficient) terms over GF(p), the exponents descending, reduced mod p at
+    each step.
 
     Horner's rule over the gaps between the exponents, highest first: a gap
     of g costs one power x^g, so a sparse polynomial of huge degree costs
     O(terms * log degree) and no dense coefficient list is built."""
-    terms = sorted(terms, reverse=True)
-    if not terms:
-        return 0 if p is not None else Fraction(0)
-    if p is None:
-        nums, den = _cleared(terms)
-        return _horner_cleared(nums, den, x)
     prev, acc = terms[0]
     for e, c in terms[1:]:
         acc = (acc * pow(x, prev - e, p) + c) % p
@@ -213,14 +215,14 @@ def _horner(terms, x, p: int | None):
     return acc * pow(x, prev, p) % p
 
 
-def _horner_cleared(nums: list, den: int, x: Fraction) -> Fraction:
+def _horner_cleared(nums: list, den: int, x: Fraction) -> tuple:
     """sum(N * x^e for (e, N) in nums) / den for integer numerators N, the
-    exponents descending, by Horner's rule on integers alone.
+    exponents descending, as an integer pair (numerator, denominator) with a
+    positive denominator, by Horner's rule on integers alone.
 
     With x = a/b and top the highest exponent, the value is
     a^low * sum(N_e * a^(e-low) * b^(top-e)) / (den * b^top), so the loop
-    steps acc = acc*a^gap + N_e*b^(top-e), keeping b^(top-e) up to date, and
-    only the last step builds a Fraction."""
+    steps acc = acc*a^gap + N_e*b^(top-e), keeping b^(top-e) up to date."""
     a, b = x.numerator, x.denominator
     prev, acc = nums[0]
     bpow = 1  # b^(top - prev)
@@ -233,7 +235,19 @@ def _horner_cleared(nums: list, den: int, x: Fraction) -> Fraction:
             bpow *= b ** gap
             acc = acc * a ** gap + n * bpow
         prev = e
-    return Fraction(acc * a ** prev, den * bpow * b ** prev)
+    return acc * a ** prev, den * bpow * b ** prev
+
+
+def _term_loop(terms: dict, point: Sequence, field: Field):
+    """Value of a multivariate polynomial at a canonical point, term by term."""
+    acc = field.zero
+    for exp, coef in terms.items():
+        term = coef
+        for x, e in zip(point, exp):
+            if e:
+                term = field.mul(term, _pow(field, x, e))
+        acc = field.add(acc, term)
+    return acc
 
 
 def _pow(field: Field, x, e: int):
@@ -280,12 +294,19 @@ def support(weights: Sequence) -> tuple:
 
 
 def omega_member(weights: Sequence, field: Field | None = None) -> bool:
-    """True iff every nonempty subset of the support has a nonzero sum."""
-    sup = support(weights)
-    if len(sup) > MAX_SUPPORT:
-        raise SupportCapExceeded(len(sup))
-    vals = [weights[i] for i in sup]
-    p = None if field is None else field.p
+    """True iff every nonempty subset of the support has a nonzero sum.
+
+    The weights are scalars of ``field`` (QQ when it is None).  Over Q they
+    are cleared of denominators first: scaling by a positive integer keeps
+    every zero sum, so the subset sums are taken on integers."""
+    field = QQ if field is None else field
+    nonzero = [(i, w) for i, w in enumerate(map(field.check_scalar, weights)) if w]
+    if len(nonzero) > MAX_SUPPORT:
+        raise SupportCapExceeded(len(nonzero))
+    p = field.p
+    if p is None:
+        nonzero, _ = _cleared(nonzero)
+    vals = [w for _, w in nonzero]
     half = len(vals) // 2
     left, right = _subset_sums(vals[:half], p), _subset_sums(vals[half:], p)
     if 0 in left or 0 in right:
@@ -307,28 +328,56 @@ def _subset_sums(vals: Sequence, p: int | None) -> set:
     return sums
 
 
+def _twisted_weights(f: Poly, cfg: EvalConfig) -> list:
+    """The twisted weights w_i * f(u_i) of the configuration as integer pairs
+    (n_i, d_i), d_i > 0: the value is n_i/d_i over Q (not reduced to lowest
+    terms) and the residue n_i with d_i = 1 over GF(p).
+
+    Field and arity are checked once and the points are taken as canonical
+    (`EvalConfig` checked them).  A univariate f is sorted and cleared of
+    denominators once for all points; a multivariate f is evaluated term by
+    term."""
+    field = cfg.field
+    if f.field != field or f.nvars != cfg.nvars:
+        raise ValueError("polynomial does not match the configuration")
+    p = field.p
+    if f.nvars == 1:
+        values = _univariate_values(f, [x for (x,) in cfg.points])
+        if p is not None:
+            return [(w * v % p, 1) for w, v in zip(cfg.weights, values)]
+        return [(w.numerator * n, w.denominator * d) for w, (n, d) in zip(cfg.weights, values)]
+    values = [field.mul(w, _term_loop(f.terms, pt, field))
+              for w, pt in zip(cfg.weights, cfg.points)]
+    return [(v.numerator, v.denominator) for v in values]  # a residue has denominator 1
+
+
+def _over_common_denominator(pairs: list) -> list:
+    """The integers n_i * (L / d_i), L the lcm of the d_i: the values n_i/d_i
+    scaled by the positive L."""
+    lcm = math.lcm(*[d for _, d in pairs])
+    return [n * (lcm // d) for n, d in pairs]
+
+
 def alpha_f_B(f: Poly, cfg: EvalConfig) -> tuple:
     """Componentwise weight twist (w_i * f(u_i))."""
-    if f.field != cfg.field or f.nvars != cfg.nvars:
-        raise ValueError("polynomial does not match the configuration")
-    mul = cfg.field.mul
-    return tuple(mul(w, f.evaluate(p)) for w, p in zip(cfg.weights, cfg.points))
+    pairs = _twisted_weights(f, cfg)
+    if cfg.field.p is not None:
+        return tuple(n for n, _ in pairs)
+    return tuple(Fraction(n, d) for n, d in pairs)
 
 
 def nba_member(f: Poly, cfg: EvalConfig) -> bool:
-    field = cfg.field
-    acc = field.zero
-    for w, p in zip(cfg.weights, cfg.points):
-        acc = field.add(acc, field.mul(w, f.evaluate(p)))
-    return not acc
+    total = sum(_over_common_denominator(_twisted_weights(f, cfg)))
+    p = cfg.field.p
+    return not (total if p is None else total % p)
 
 
 def nba_sigma_member(f: Poly, cfg: EvalConfig) -> bool:
-    return len(support(alpha_f_B(f, cfg))) <= 1
+    return sum(1 for n, _ in _twisted_weights(f, cfg) if n) <= 1
 
 
 def nba_tau_member(f: Poly, cfg: EvalConfig) -> bool:
-    return omega_member(alpha_f_B(f, cfg), cfg.field)
+    return omega_member(_over_common_denominator(_twisted_weights(f, cfg)), cfg.field)
 
 
 def indicator_poly(cfg: EvalConfig, i: int) -> Poly:
@@ -408,7 +457,8 @@ def exact_integral(f: Poly, cfg: IntegralConfig) -> Fraction:
     lcm = math.lcm(*(k + 1 for (k,), _ in nums))
     anti = [(k + 1, n * (lcm // (k + 1))) for (k,), n in nums]
     den *= lcm
-    return _horner_cleared(anti, den, cfg.b) - _horner_cleared(anti, den, cfg.a)
+    (nb, db), (na, da) = _horner_cleared(anti, den, cfg.b), _horner_cleared(anti, den, cfg.a)
+    return Fraction(nb * da - na * db, da * db)
 
 
 def nq_member(f: Poly, cfg: IntegralConfig) -> bool:

@@ -26,7 +26,7 @@ from mathieuspaces.serialize import (
     witness_to_json,
 )
 from mathieuspaces.modules import natural_module
-from mathieuspaces.polyspaces import Poly
+from mathieuspaces.polyspaces import Poly, omega_member
 from mathieuspaces.verify import CheckEntry, Profile, run_suite
 
 
@@ -351,6 +351,25 @@ def test_nba_sparse_huge_degree_poly(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "nba", "member", "--config", str(cfg), "--poly", str(big))
     assert code == 0
     assert json.loads(out)["result"] is False
+
+
+def test_nba_member_rejects_a_poly_of_the_wrong_arity(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": {"p": 5}, "points": [[0], [1]], "alpha": [1, 1]}))
+    bivariate = tmp_path / "bivariate.json"
+    bivariate.write_text(json.dumps({"vars": 2, "terms": [{"exp": [1, 0], "coef": 1}]}))
+    for predicate in ("member", "sigma", "tau"):
+        code, out, err = run_cli(capsys, "nba", predicate, "--config", str(cfg),
+                                 "--poly", str(bivariate))
+        assert code == 2 and out == ""
+        assert "polynomial does not match the configuration" in err
+        assert "Traceback" not in err
+
+
+def test_omega_cli_and_library_agree_on_unreduced_residues(capsys):
+    code, out, _ = run_cli(capsys, "omega", "--field", "5", "--alpha", "[5, 1]")
+    assert code == 0 and json.loads(out)["result"] is True
+    assert omega_member([5, 1], GF(5)) is True
 
 
 def test_rational_subspace_round_trip():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mathieuspaces import polyspaces
 from mathieuspaces.fields import GF, QQ
 from mathieuspaces.mathieu import is_theta_ideal, is_theta_mathieu_bruteforce
 from mathieuspaces.polyspaces import (
@@ -277,8 +278,8 @@ def test_high_degree_integration_stays_exact():
 
 
 def _naive_omega_mod(weights, p):
-    """Scan every nonempty subset of the support, summing mod p."""
-    nz = [w for w in weights if w]
+    """Scan every nonempty subset of the support of the residues, summing mod p."""
+    nz = [w % p for w in weights if w % p]
     for size in range(1, len(nz) + 1):
         for combo in itertools.combinations(nz, size):
             if sum(combo) % p == 0:
@@ -328,6 +329,20 @@ def _residue_weights(draw):
 def test_omega_over_gf_p_matches_naive_scan(case):
     p, weights = case
     assert omega_member(weights, GF(p)) == _naive_omega_mod(weights, p)
+
+
+def test_omega_normalises_its_weights_in_the_field():
+    # 5 is the residue 0 mod 5, so the support is {1}
+    assert omega_member([5, 1], GF(5))
+    assert omega_member([5, 1], GF(5)) == omega_member([0, 1], GF(5))
+    assert not omega_member([6, 4], GF(5))
+    assert omega_member([2, Fraction(1, 2)]) and omega_member([2, 1], QQ)
+    for weights, field in (([0.5, -0.5], None), ([0.5, -0.5], QQ), ([True, 1], None),
+                           ([Fraction(1, 2), 1], GF(5)), ([1.0], GF(3))):
+        with pytest.raises(ValueError):
+            omega_member(weights, field)
+    # only the reduced support counts against the cap
+    assert omega_member([2] * (MAX_SUPPORT + 5) + [1], GF(2))
 
 
 def test_omega_mixed_signs_at_the_support_cap():
@@ -523,3 +538,137 @@ def test_scale_rejects_a_foreign_scalar():
 def test_exponents_must_be_tuples_of_nonnegative_ints(exp):
     with pytest.raises(ValueError):
         Poly(QQ, 1, {exp: 1})
+
+
+# -- differential tests of the four nba_* predicates ---------------------------------
+
+
+def _reference_value(terms: dict, point, p):
+    """f(u) term by term with one Fraction per operation, reduced mod p at
+    the end over GF(p)."""
+    value = Fraction(0)
+    for exp, c in terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= Fraction(x) ** e if p is None else pow(x, e, p)
+        value += term
+    return value if p is None else int(value) % p
+
+
+def _reference_twist(f: Poly, cfg: EvalConfig) -> list:
+    """w_i * f(u_i) for each point, one reference evaluation per point."""
+    p = cfg.field.p
+    return [Fraction(w) * _reference_value(f.terms, point, p) if p is None
+            else w * _reference_value(f.terms, point, p) % p
+            for w, point in zip(cfg.weights, cfg.points)]
+
+
+@st.composite
+def _nba_cases(draw):
+    p = draw(st.sampled_from((None, 2, 3, 5, 7, 13)))
+    nvars = draw(st.sampled_from((1, 2)))
+    if p is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, p - 1)
+    points = draw(st.lists(st.tuples(*[scalar] * nvars), unique=True, max_size=6))
+    weights = draw(st.lists(scalar, min_size=len(points), max_size=len(points)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 12)] * nvars), scalar, max_size=5))
+    if points and draw(st.booleans()):
+        # plant a member: the last weight cancels the weighted sum of the others
+        *values, last = [_reference_value(terms, point, p) for point in points]
+        if last:
+            rest = sum(w * v for w, v in zip(weights, values))
+            weights[-1] = -rest / last if p is None else -rest * pow(last, p - 2, p) % p
+    return p, nvars, points, weights, terms
+
+
+_F = Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nba_cases())
+@example((None, 1, [], [], {(2,): _F(1)}))
+@example((None, 2, [], [], {(1, 0): _F(1)}))
+@example((5, 1, [], [], {}))
+@example((None, 1, [(_F(0),), (_F(1),), (_F(-2, 3),)], [_F(1), _F(-1), _F(0)], {}))
+@example((None, 1, [(_F(0),), (_F(1),)], [_F(0), _F(0)], {(3,): _F(1, 2)}))
+@example((7, 2, [(0, 1), (1, 0), (3, 3)], [0, 0, 0], {(1, 1): 3}))
+@example((None, 1, [(_F(1),), (_F(-1),)], [_F(1), _F(1)], {(1,): _F(1)}))
+@example((None, 1, [(_F(1, 2),), (_F(-1, 3),), (_F(2),)], [_F(3, 4), _F(-2), _F(1, 6)],
+          {(4,): _F(-1, 3), (1,): _F(5, 2), (0,): _F(1, 7)}))
+@example((None, 2, [(_F(0), _F(1)), (_F(1, 2), _F(-1))], [_F(1), _F(2)],
+          {(2, 1): _F(1, 3), (0, 0): _F(-1)}))
+@example((None, 1, [(_F(1),), (_F(2),)], [_F(1), _F(-1, 2)], {(1,): _F(1)}))
+@example((3, 1, [(0,), (1,), (2,)], [1, 1, 1], {(0,): 1}))
+@example((5, 1, [(0,), (1,), (2,), (3,), (4,)], [1, 2, 3, 4, 1], {(10 ** 12,): 1, (0,): 1}))
+@example((13, 1, [(2,), (5,), (12,)], [1, 1, 11], {(10 ** 12 + 1,): 3}))
+def test_nba_predicates_match_the_per_point_reference(case):
+    p, nvars, points, weights, terms = case
+    field = QQ if p is None else GF(p)
+    cfg = EvalConfig(field, tuple(points), tuple(weights))
+    f = Poly(field, nvars, terms)
+    predicates = (alpha_f_B, nba_member, nba_sigma_member, nba_tau_member)
+    if nvars != cfg.nvars:
+        for predicate in predicates:
+            with pytest.raises(ValueError, match="does not match the configuration"):
+                predicate(f, cfg)
+        return
+    twist = _reference_twist(f, cfg)
+    alpha = alpha_f_B(f, cfg)
+    assert list(alpha) == twist
+    assert all(type(v) is Fraction if p is None else v in range(p) for v in alpha)
+    assert nba_member(f, cfg) == (sum(twist) % p == 0 if p else sum(twist) == 0)
+    assert nba_sigma_member(f, cfg) == (sum(1 for v in twist if v) <= 1)
+    if p is None:
+        assert nba_tau_member(f, cfg) == _subset_sums_nonzero(twist)
+    else:
+        assert nba_tau_member(f, cfg) == _naive_omega_mod(twist, p)
+
+
+def test_nba_tau_member_keeps_the_support_cap():
+    # z^2 + 1 has no root in Q or in GF(23) (23 = 3 mod 4), so every twisted
+    # weight is nonzero
+    for field in (QQ, GF(23)):
+        f = Poly(field, 1, {(2,): 1, (0,): 1})
+        cfg = standard_eval_config(MAX_SUPPORT + 1, field, [1] * (MAX_SUPPORT + 1))
+        with pytest.raises(SupportCapExceeded):
+            nba_tau_member(f, cfg)
+    # at the cap the scan runs: positive twisted weights have no zero sum
+    assert nba_tau_member(upoly(1, 0, 1), standard_eval_config(MAX_SUPPORT, QQ, [1] * MAX_SUPPORT))
+
+
+def test_nba_predicates_reject_a_mismatched_polynomial():
+    cfg = standard_eval_config(2, GF(5), [1, 1])
+    mismatched = (Poly(QQ, 1, {(0,): 1}), Poly(GF(7), 1, {(0,): 1}),
+                  Poly(GF(5), 2, {(0, 0): 1}))
+    for f in mismatched:
+        for predicate in (alpha_f_B, nba_member, nba_sigma_member, nba_tau_member):
+            with pytest.raises(ValueError, match="polynomial does not match the configuration"):
+                predicate(f, cfg)
+    empty = EvalConfig(QQ, (), ())
+    assert nba_member(upoly(1), empty)
+    with pytest.raises(ValueError, match="polynomial does not match the configuration"):
+        nba_member(Poly(QQ, 2, {(1, 1): 1}), empty)
+
+
+def test_univariate_nba_member_over_q_clears_f_once_and_never_calls_evaluate(monkeypatch):
+    calls = {"evaluate": 0, "_cleared": 0, "omega_member": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "evaluate", counted("evaluate", Poly.evaluate))
+    monkeypatch.setattr(polyspaces, "_cleared", counted("_cleared", polyspaces._cleared))
+    monkeypatch.setattr(polyspaces, "omega_member",
+                        counted("omega_member", polyspaces.omega_member))
+    cfg = qq_config([0, 1, -2, 3], [1, Fraction(1, 2), Fraction(-2, 3), 3])
+    f = upoly(Fraction(1, 3), 2, 0, Fraction(-5, 7))
+    assert nba_member(f, cfg) == (sum(_reference_twist(f, cfg)) == 0)
+    assert calls == {"evaluate": 0, "_cleared": 1, "omega_member": 0}
+    # the tau predicate reaches omega_member through the module global
+    nba_tau_member(f, cfg)
+    assert calls["evaluate"] == 0 and calls["omega_member"] == 1
