@@ -106,7 +106,6 @@ class Algebra:
         )
         self._elements: tuple | None = None
         self._table: list | None = None
-        self._table_failed = False
         self._trajectories: dict = {}
         self._idempotents: tuple | None = None
         self._memo: dict = {}
@@ -196,11 +195,8 @@ class Algebra:
         """Index-based multiplication table, or None if too large to build."""
         if self._table is not None:
             return self._table
-        if self._table_failed or self.field.is_rational:
-            return None
-        count = self.element_count()
-        if count > TABLE_MAX_ELEMENTS:
-            self._table_failed = True
+        count = self._count
+        if count is None or count > TABLE_MAX_ELEMENTS:  # over Q, or too large
             return None
         # The product is bilinear: coordinate k of a*b is the linear form
         # b -> sum_j b_j (a*e_j)[k].  Each distinct form is evaluated on all b

@@ -13,7 +13,6 @@ from typing import Sequence
 from .algebras import Algebra, opposite
 from .linalg import (
     Subspace,
-    _dot,
     identity_matrix,
     image_subspace,
     mat_mul,
@@ -23,10 +22,8 @@ from .linalg import (
     rref_rows,
     solve_right_kernel,
     subspace_intersect,
-    vec_add,
     vec_scale,
     vector_count,
-    zero_vector,
 )
 
 # Subspaces N whose colon classes one module keeps, colon spaces one module
@@ -57,6 +54,8 @@ class ModuleSpace:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ModuleAxiomError(f"action matrix {i} is not {self.dim} x {self.dim}")
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
+        # row r*dim + s holds entry (r, s) of every action matrix
+        self._action_entries = tuple(zip(*(sum(m, ()) for m in self.actions)))
         self._colon_classes: dict = {}
         self._colons: dict = {}  # canonical rows of C_N(u) -> (N:u); see ColonClasses
         if check:
@@ -79,48 +78,30 @@ class ModuleSpace:
     # -- acting -----------------------------------------------------------------
 
     def action_matrix(self, a: Sequence) -> tuple:
-        """Matrix of the action of an algebra element."""
-        field = self.field
-        add, mul = field.add, field.mul
-        rows = [[field.zero] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            m = self.actions[i]
-            for r in range(self.dim):
-                mr = m[r]
-                row = rows[r]
-                for s in range(self.dim):
-                    if mr[s]:
-                        row[s] = add(row[s], mul(c, mr[s]))
-        return tuple(tuple(r) for r in rows)
+        """Matrix of the action of an algebra element, sum_i a_i A_i."""
+        d = self.dim
+        flat = mat_vec(self.field, self._action_entries, a)
+        return tuple(flat[r * d:(r + 1) * d] for r in range(d))
 
     def act(self, a: Sequence, u: Sequence) -> tuple:
         if len(a) != self.algebra.dim or len(u) != self.dim:
             raise ValueError("dimension mismatch in module action")
-        field = self.field
-        out = zero_vector(field, self.dim)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            out = vec_add(field, out, vec_scale(field, c, mat_vec(field, self.actions[i], u)))
-        return out
+        return mat_vec(self.field, self._images(u), a)
+
+    def _images(self, u: Sequence) -> tuple:
+        """The dim x dim_A matrix whose column i is e_i.u."""
+        return tuple(zip(*(mat_vec(self.field, m, u) for m in self.actions)))
 
     # -- colon spaces and friends ---------------------------------------------------
 
     def colon(self, n_space: Subspace, u: Sequence) -> Subspace:
         """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra."""
         self._check_subspace(n_space)
-        field = self.field
         resid = residual_matrix(n_space)
         if not resid:
-            return Subspace.full(field, self.algebra.dim)
-        # column i of the map a -> a.u is e_i.u
-        images = [mat_vec(field, self.actions[i], u) for i in range(self.algebra.dim)]
-        add, mul, zero = field.add, field.mul, field.zero
-        rows = [tuple(_dot(add, mul, zero, rrow, img) for img in images)
-                for rrow in resid]
-        return solve_right_kernel(field, rows, self.algebra.dim)
+            return Subspace.full(self.field, self.algebra.dim)
+        rows = mat_mul(self.field, resid, self._images(u))
+        return solve_right_kernel(self.field, rows, self.algebra.dim)
 
     def colon_classes(self, n_space: Subspace) -> "ColonClasses":
         """The colon spaces of N, one per class of u; kept for the last
@@ -380,7 +361,8 @@ def module_hom_basis(source: ModuleSpace, target: ModuleSpace) -> list:
     field = source.field
     rows = []
     s, t = source.dim, target.dim
-    # unknowns: X[r][c] flattened row-major; constraints: X A_i - B_i X = 0
+    # unknowns: X[r][c] flattened row-major; constraints: X A_i - B_i X = 0, summed
+    # unreduced and reduced by the kernel's row reduction
     for i in range(source.algebra.dim):
         a_i = source.actions[i]
         b_i = target.actions[i]
@@ -388,9 +370,9 @@ def module_hom_basis(source: ModuleSpace, target: ModuleSpace) -> list:
             for c in range(s):
                 row = [field.zero] * (t * s)
                 for k in range(s):
-                    row[r * s + k] = field.add(row[r * s + k], a_i[k][c])
+                    row[r * s + k] += a_i[k][c]
                 for k in range(t):
-                    row[k * s + c] = field.sub(row[k * s + c], b_i[r][k])
+                    row[k * s + c] -= b_i[r][k]
                 rows.append(tuple(row))
     ker = solve_right_kernel(field, rows, t * s)
     mats = []

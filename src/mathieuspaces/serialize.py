@@ -68,7 +68,7 @@ def matrix_to_json(field: Field, rows) -> list:
 # -- algebra -----------------------------------------------------------------------
 
 
-def algebra_from_json(obj, check: bool = True) -> Algebra:
+def algebra_from_json(obj) -> Algebra:
     field = parse_field(_require(obj, "field", "algebra"))
     dim = _require(obj, "dim", "algebra")
     structure = _require(obj, "structure", "algebra")
@@ -82,7 +82,7 @@ def algebra_from_json(obj, check: bool = True) -> Algebra:
         rows.append(tuple(parse_vector(field, cell, f"algebra.structure[{i}][{j}]")
                           for j, cell in enumerate(row)))
     try:
-        return Algebra(field, rows, unit, name=obj.get("name"), check=check)
+        return Algebra(field, rows, unit, name=obj.get("name"))
     except AlgebraAxiomError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -101,18 +101,18 @@ def algebra_to_json(a: Algebra) -> dict:
 # -- module ------------------------------------------------------------------------
 
 
-def module_from_json(obj, base_dir: str = ".", check: bool = True) -> ModuleSpace:
+def module_from_json(obj, base_dir: str = ".") -> ModuleSpace:
     spec = _require(obj, "algebra", "module")
     if isinstance(spec, str):
         spec = load_json(os.path.join(base_dir, spec))
-    algebra = algebra_from_json(spec, check=check)
+    algebra = algebra_from_json(spec)
     actions = _require(obj, "actions", "module")
     if not isinstance(actions, list):
         raise SchemaError("module.actions: expected an array of matrices")
     mats = [parse_matrix(algebra.field, m, f"module.actions[{i}]")
             for i, m in enumerate(actions)]
     try:
-        module = ModuleSpace(algebra, mats, name=obj.get("name"), check=check)
+        module = ModuleSpace(algebra, mats, name=obj.get("name"))
     except ModuleAxiomError as exc:
         raise SchemaError(str(exc)) from exc
     if "dim" in obj and obj["dim"] != module.dim:

@@ -3,12 +3,15 @@ on finite instances and the results are collected in a deterministic report.
 
 Each check compares an independently computed expectation (closed-form
 formulas, hand-rolled matrix arithmetic, double-sum integration) against the
-library's deciders.  Failing entries embed a witness that the standalone
-`verify-witness` verb re-validates.
+library's deciders.  An entry times one scan that returns None when its claim
+holds or the failure payload (`_timed_entry`).  The two classification checks
+share `_classification_entries`; their entries embed the first violation's
+witness, which the standalone `verify-witness` verb re-validates.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -161,13 +164,26 @@ def _rng(profile: Profile, tag: str) -> random.Random:
     return random.Random(profile.seed ^ zlib.crc32(tag.encode()))
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
+def _timed_entry(check: str, instance: str, claim: str, expected, ok, scan) -> CheckEntry:
+    """Time `scan()` and build its entry.  `scan` returns None when the claim
+    holds, and the entry reports `ok` as computed; otherwise it returns the
+    failure payload, which the entry reports instead."""
+    t0 = time.perf_counter()
+    failure = scan()
+    return CheckEntry(check=check, instance=instance, claim=claim, expected=expected,
+                      computed=ok if failure is None else failure, passed=failure is None,
+                      runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
+
+def _sets(module, n_space: Subspace, theta: str, cap: int) -> tuple:
+    """(sigma, tau) of N as frozensets."""
+    return (frozenset(sigma(module, n_space, theta, cap)),
+            frozenset(tau(module, n_space, theta, cap)))
+
+
+def _pulled_back(field: Field, dim: int, apply, target, cap: int) -> frozenset:
+    """The elements u of the source space with apply(u) in `target`."""
+    return frozenset(u for u in enumerate_vectors(field, dim, cap) if apply(u) in target)
 
 
 def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
@@ -200,30 +216,19 @@ def check_oracle_agreement(profile: Profile) -> list:
 
 def _oracle_entries(profile, algebra, subspaces, scope):
     claim = "brute-force power scan and the idempotent criterion give the same verdict"
-    entries = []
-    for theta in THETAS:
-        with _Timer() as t:
-            disagreement = None
-            for j in subspaces:
-                brute = is_theta_mathieu_bruteforce(algebra, j, theta, profile.element_cap)
-                idem = is_theta_mathieu_idempotent(algebra, j, theta, profile.element_cap)
-                if brute.is_mathieu != idem.is_mathieu:
-                    disagreement = {
-                        "subspace": j.to_json(),
-                        "brute": brute.is_mathieu,
-                        "idempotent": idem.is_mathieu,
-                    }
-                    break
-        entries.append(CheckEntry(
-            check="oracle-agreement",
-            instance=f"{algebra.name}, theta={theta}, {scope}",
-            claim=claim,
-            expected="verdicts agree",
-            computed="verdicts agree" if disagreement is None else disagreement,
-            passed=disagreement is None,
-            runtime_ms=t.ms,
-        ))
-    return entries
+
+    def disagreement(theta):
+        for j in subspaces:
+            brute = is_theta_mathieu_bruteforce(algebra, j, theta, profile.element_cap)
+            idem = is_theta_mathieu_idempotent(algebra, j, theta, profile.element_cap)
+            if brute.is_mathieu != idem.is_mathieu:
+                return {"subspace": j.to_json(), "brute": brute.is_mathieu,
+                        "idempotent": idem.is_mathieu}
+
+    return [_timed_entry("oracle-agreement", f"{algebra.name}, theta={theta}, {scope}",
+                         claim, "verdicts agree", "verdicts agree",
+                         lambda: disagreement(theta))
+            for theta in THETAS]
 
 
 # -- check 2: sigma/tau of subspaces of the column module ----------------------------
@@ -246,38 +251,29 @@ def check_column_module_sets(profile: Profile) -> list:
                     passed=True))
                 continue
             fld = GF(p)
-            algebra = matrix_algebra(n, p)
-            module = column_module(algebra, n)
+            module = column_module(matrix_algebra(n, p), n)
             all_vectors = frozenset(enumerate_vectors(fld, n, profile.element_cap))
             zero_only = frozenset({(0,) * n})
             subspaces = list(enumerate_subspaces(fld, n, profile.element_cap))
-            for theta in THETAS:
-                with _Timer() as t:
-                    mismatch = None
-                    for n_space in subspaces:
-                        if n_space.is_full():
-                            expected = all_vectors
-                        elif n_space.is_zero():
-                            expected = all_vectors if theta == "left" else zero_only
-                        else:
-                            expected = zero_only
-                        got_sigma = frozenset(sigma(module, n_space, theta, profile.element_cap))
-                        got_tau = frozenset(tau(module, n_space, theta, profile.element_cap))
-                        if got_sigma != expected or got_tau != expected:
-                            mismatch = {"subspace": n_space.to_json(),
-                                        "sigma_size": len(got_sigma),
-                                        "tau_size": len(got_tau),
-                                        "expected_size": len(expected)}
-                            break
-                entries.append(CheckEntry(
-                    check="column-module-sets",
-                    instance=f"{instance_base} theta={theta}, all {len(subspaces)} subspaces",
-                    claim=claim,
-                    expected="three-case classification",
-                    computed="matches" if mismatch is None else mismatch,
-                    passed=mismatch is None,
-                    runtime_ms=t.ms,
-                ))
+
+            def mismatch(theta):
+                for n_space in subspaces:
+                    if n_space.is_full():
+                        expected = all_vectors
+                    elif n_space.is_zero():
+                        expected = all_vectors if theta == "left" else zero_only
+                    else:
+                        expected = zero_only
+                    got_sigma, got_tau = _sets(module, n_space, theta, profile.element_cap)
+                    if got_sigma != expected or got_tau != expected:
+                        return {"subspace": n_space.to_json(), "sigma_size": len(got_sigma),
+                                "tau_size": len(got_tau), "expected_size": len(expected)}
+
+            entries += [_timed_entry(
+                "column-module-sets",
+                f"{instance_base} theta={theta}, all {len(subspaces)} subspaces", claim,
+                "three-case classification", "matches", lambda: mismatch(theta))
+                for theta in THETAS]
     return entries
 
 
@@ -317,12 +313,11 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
         if p ** (n * n) > profile.element_cap:
             continue
         fld = GF(p)
-        algebra = matrix_algebra(n, p)
-        module = natural_module(algebra)
+        module = natural_module(matrix_algebra(n, p))
         elements = list(enumerate_vectors(fld, n * n, profile.element_cap))
         zero = (0,) * (n * n)
-        with _Timer() as t:
-            mismatch = None
+
+        def mismatch():
             for x in elements:
                 # Tr(YX) as a functional of Y: coefficient of Y[i][j] is X[j][i]
                 functional = tuple(x[j * n + i] for i in range(n) for j in range(n))
@@ -332,32 +327,21 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
                     h_x = Subspace.full(fld, n * n)
                 products = {y: _flat_matmul(p, n, y, x) for y in elements}
                 annihilator = frozenset(y for y, yx in products.items() if yx == zero)
-                expected_sigma = annihilator
+                expected_tau = annihilator
                 if p > n:
-                    expected_tau = annihilator | frozenset(
+                    expected_tau |= frozenset(
                         y for y, yx in products.items()
                         if _is_nonzero_scalar_of_identity(p, n, yx))
-                else:
-                    expected_tau = annihilator
                 for theta in THETAS:
-                    got_sigma = frozenset(sigma(module, h_x, theta, profile.element_cap))
-                    got_tau = frozenset(tau(module, h_x, theta, profile.element_cap))
-                    if got_sigma != expected_sigma or got_tau != expected_tau:
-                        mismatch = {"X": vector_to_json(fld, x), "theta": theta,
-                                    "sigma_ok": got_sigma == expected_sigma,
-                                    "tau_ok": got_tau == expected_tau}
-                        break
-                if mismatch:
-                    break
-        entries.append(CheckEntry(
-            check="trace-hyperplane-sets",
-            instance=f"M_{n}(GF({p})), all {len(elements)} matrices X, all sides",
-            claim=claim,
-            expected="annihilator formula",
-            computed="matches" if mismatch is None else mismatch,
-            passed=mismatch is None,
-            runtime_ms=t.ms,
-        ))
+                    got_sigma, got_tau = _sets(module, h_x, theta, profile.element_cap)
+                    if got_sigma != annihilator or got_tau != expected_tau:
+                        return {"X": vector_to_json(fld, x), "theta": theta,
+                                "sigma_ok": got_sigma == annihilator,
+                                "tau_ok": got_tau == expected_tau}
+
+        entries.append(_timed_entry(
+            "trace-hyperplane-sets", f"M_{n}(GF({p})), all {len(elements)} matrices X, all sides",
+            claim, "annihilator formula", "matches", mismatch))
     return entries
 
 
@@ -386,43 +370,73 @@ def _module_zoo(profile: Profile) -> list:
 
 
 def check_max_submodule(profile: Profile) -> list:
-    entries = []
     claim = ("the fixpoint maximum submodule of N equals both N intersect sigma(N) "
              "and N intersect tau(N) for every side selector")
     zoo = _module_zoo(profile)
     rng = _rng(profile, "max-submodule")
     per_module = -(-profile.pair_samples // len(zoo))
-    for module in zoo:
-        with _Timer() as t:
-            mismatch = None
-            for _ in range(per_module):
-                n_space = _random_subspace(rng, module.field, module.dim)
-                inside = frozenset(module.max_submodule(n_space).elements())
-                for theta in THETAS:
-                    sig = sigma(module, n_space, theta, profile.element_cap)
-                    ta = tau(module, n_space, theta, profile.element_cap)
-                    n_sig = frozenset(u for u in sig if n_space.contains(u))
-                    n_tau = frozenset(u for u in ta if n_space.contains(u))
-                    if n_sig != inside or n_tau != inside:
-                        mismatch = {"subspace": n_space.to_json(), "theta": theta,
-                                    "fixpoint_size": len(inside),
-                                    "sigma_cut": len(n_sig), "tau_cut": len(n_tau)}
-                        break
-                if mismatch:
-                    break
-        entries.append(CheckEntry(
-            check="max-submodule-identity",
-            instance=f"{module.name}, {per_module} sampled subspaces, all sides",
-            claim=claim,
-            expected="both intersections equal the fixpoint",
-            computed="equal" if mismatch is None else mismatch,
-            passed=mismatch is None,
-            runtime_ms=t.ms,
-        ))
-    return entries
+
+    def mismatch(module):
+        for _ in range(per_module):
+            n_space = _random_subspace(rng, module.field, module.dim)
+            inside = frozenset(module.max_submodule(n_space).elements())
+            for theta in THETAS:
+                got_sigma, got_tau = _sets(module, n_space, theta, profile.element_cap)
+                n_sig = frozenset(filter(n_space.contains, got_sigma))
+                n_tau = frozenset(filter(n_space.contains, got_tau))
+                if n_sig != inside or n_tau != inside:
+                    return {"subspace": n_space.to_json(), "theta": theta,
+                            "fixpoint_size": len(inside),
+                            "sigma_cut": len(n_sig), "tau_cut": len(n_tau)}
+
+    return [_timed_entry("max-submodule-identity",
+                         f"{module.name}, {per_module} sampled subspaces, all sides", claim,
+                         "both intersections equal the fixpoint", "equal",
+                         lambda: mismatch(module))
+            for module in zoo]
 
 
 # -- checks 5 and 6: quasi-stable and stable algebras ---------------------------------
+
+
+def _classification_entries(profile: Profile, check: str, claim: str, cases,
+                            find_violation, classify) -> list:
+    """One entry per (builder, expected) case.  It passes when
+    `find_violation` finds a violation on no side exactly when `expected`
+    holds, the first violation's witness re-validates, and `classify(algebra)`
+    returns (closed-form verdict, agrees) with the verdict equal to `expected`
+    and `agrees` true."""
+    entries = []
+    for builder, expected in cases:
+        algebra = builder_spec_to_algebra(builder)
+        t0 = time.perf_counter()
+        verdicts = {}
+        payload = None
+        witness_ok = True
+        for theta in THETAS:
+            violation = find_violation(algebra, theta, cap=profile.element_cap)
+            verdicts[theta] = violation is None
+            if violation is not None and payload is None:
+                j, witness = violation
+                witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
+                payload = {"algebra_builder": builder, "theta": theta,
+                           "subspace": j.to_json(),
+                           "witness": witness_to_json(algebra.field, witness)}
+        classified, agrees = classify(algebra)
+        passed = (all(v == expected for v in verdicts.values())
+                  and agrees and classified == expected and witness_ok)
+        entries.append(CheckEntry(
+            check=check,
+            instance=f"{algebra.name}, all sides",
+            claim=claim,
+            expected=expected,
+            computed={"verdicts": verdicts, "classified": classified,
+                      "witness_validated": witness_ok},
+            passed=passed,
+            witness=payload,
+            runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        ))
+    return entries
 
 
 def _classified_quasi_stable(algebra: Algebra) -> bool:
@@ -432,7 +446,6 @@ def _classified_quasi_stable(algebra: Algebra) -> bool:
 
 
 def check_quasi_stable_classification(profile: Profile) -> list:
-    entries = []
     claim = ("an algebra is quasi-stable exactly when it is local (only trivial "
              "idempotents) or the two-dimensional split pair; verdict is exhaustive "
              "over all unit-avoiding subspaces")
@@ -446,41 +459,13 @@ def check_quasi_stable_classification(profile: Profile) -> list:
         (["matrix", 2, 2], False),
         (["upper", 2, 2], False),
     ]
-    for builder, expected in cases:
-        algebra = builder_spec_to_algebra(builder)
-        with _Timer() as t:
-            verdicts = {}
-            payload = None
-            witness_ok = True
-            for theta in THETAS:
-                violation = find_algebra_quasi_stable_violation(algebra, theta,
-                                                                cap=profile.element_cap)
-                verdicts[theta] = violation is None
-                if violation is not None and payload is None:
-                    j, witness = violation
-                    witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
-                    payload = {"algebra_builder": builder, "theta": theta,
-                               "subspace": j.to_json(),
-                               "witness": witness_to_json(algebra.field, witness)}
-            classified = _classified_quasi_stable(algebra)
-            computed_ok = (all(v == expected for v in verdicts.values())
-                           and classified == expected and witness_ok)
-        entries.append(CheckEntry(
-            check="quasi-stable-classification",
-            instance=f"{algebra.name}, all sides",
-            claim=claim,
-            expected=expected,
-            computed={"verdicts": verdicts, "classified": classified,
-                      "witness_validated": witness_ok},
-            passed=computed_ok,
-            witness=payload,
-            runtime_ms=t.ms,
-        ))
-    return entries
+    return _classification_entries(
+        profile, "quasi-stable-classification", claim, cases,
+        find_algebra_quasi_stable_violation,
+        lambda algebra: (_classified_quasi_stable(algebra), True))
 
 
 def check_stable_classification(profile: Profile) -> list:
-    entries = []
     claim = ("an algebra is stable exactly when it is the base field itself or the "
              "split pair over GF(2); verdict is exhaustive over all unit-avoiding "
              "subspaces and cross-checked against the closed form")
@@ -491,38 +476,13 @@ def check_stable_classification(profile: Profile) -> list:
         (["product", 2, 3], False),
         (["truncated", 2, 2], False),
     ]
-    for builder, expected in cases:
-        algebra = builder_spec_to_algebra(builder)
-        with _Timer() as t:
-            verdicts = {}
-            payload = None
-            witness_ok = True
-            for theta in THETAS:
-                violation = find_algebra_stable_violation(algebra, theta,
-                                                          cap=profile.element_cap)
-                verdicts[theta] = violation is None
-                if violation is not None and payload is None:
-                    j, witness = violation
-                    witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
-                    payload = {"algebra_builder": builder, "theta": theta,
-                               "subspace": j.to_json(),
-                               "witness": witness_to_json(algebra.field, witness)}
-            crossed = is_stable_algebra_classified(algebra, cap=profile.element_cap)
-            computed_ok = (all(v == expected for v in verdicts.values())
-                           and crossed.agree and crossed.classified == expected
-                           and witness_ok)
-        entries.append(CheckEntry(
-            check="stable-classification",
-            instance=f"{algebra.name}, all sides",
-            claim=claim,
-            expected=expected,
-            computed={"verdicts": verdicts, "classified": crossed.classified,
-                      "witness_validated": witness_ok},
-            passed=computed_ok,
-            witness=payload,
-            runtime_ms=t.ms,
-        ))
-    return entries
+
+    def crossed(algebra):
+        result = is_stable_algebra_classified(algebra, cap=profile.element_cap)
+        return result.classified, result.agree
+
+    return _classification_entries(profile, "stable-classification", claim, cases,
+                                   find_algebra_stable_violation, crossed)
 
 
 # -- check 7: weight hyperplanes in the componentwise product algebra -----------------
@@ -533,38 +493,29 @@ def check_product_weight_hyperplanes(profile: Profile) -> list:
     claim = ("the weight hyperplane is Mathieu in the componentwise product algebra "
              "exactly when every nonempty support subset has a nonzero weight sum; "
              "all four side selectors coincide")
-    combos = [(2, 3), (2, 5), (3, 3)]
-    for length, p in combos:
+
+    def mismatch(length, fld):
+        for alpha in enumerate_vectors(fld, length, profile.element_cap):
+            cfg = EvalConfig(fld, tuple((fld.from_int(i),) for i in range(length)), alpha)
+            algebra, hyperplane = reduce_to_product_algebra(cfg)
+            expected = omega_member(alpha, fld)
+            for theta in THETAS:
+                brute = is_theta_mathieu_bruteforce(
+                    algebra, hyperplane, theta, profile.element_cap).is_mathieu
+                idem = is_theta_mathieu_idempotent(
+                    algebra, hyperplane, theta, profile.element_cap).is_mathieu
+                if brute != expected or idem != expected:
+                    return {"alpha": list(alpha), "theta": theta, "expected": expected,
+                            "brute": brute, "idempotent": idem}
+
+    for length, p in [(2, 3), (2, 5), (3, 3)]:
         if p not in profile.primes:
             continue
         fld = GF(p)
-        with _Timer() as t:
-            mismatch = None
-            for alpha in enumerate_vectors(fld, length, profile.element_cap):
-                cfg = EvalConfig(fld, tuple((fld.from_int(i),) for i in range(length)), alpha)
-                algebra, hyperplane = reduce_to_product_algebra(cfg)
-                expected = omega_member(alpha, fld)
-                for theta in THETAS:
-                    brute = is_theta_mathieu_bruteforce(
-                        algebra, hyperplane, theta, profile.element_cap).is_mathieu
-                    idem = is_theta_mathieu_idempotent(
-                        algebra, hyperplane, theta, profile.element_cap).is_mathieu
-                    if brute != expected or idem != expected:
-                        mismatch = {"alpha": list(alpha), "theta": theta,
-                                    "expected": expected, "brute": brute,
-                                    "idempotent": idem}
-                        break
-                if mismatch:
-                    break
-        entries.append(CheckEntry(
-            check="product-weight-hyperplane",
-            instance=f"length={length} p={p}, all {p ** length} weight vectors, all sides",
-            claim=claim,
-            expected="subset-sum criterion",
-            computed="matches" if mismatch is None else mismatch,
-            passed=mismatch is None,
-            runtime_ms=t.ms,
-        ))
+        entries.append(_timed_entry(
+            "product-weight-hyperplane",
+            f"length={length} p={p}, all {p ** length} weight vectors, all sides",
+            claim, "subset-sum criterion", "matches", lambda: mismatch(length, fld)))
     return entries
 
 
@@ -607,52 +558,39 @@ def _subset_sums_nonzero(values: Sequence[Fraction]) -> bool:
 
 
 def check_evaluation_subspace_identities(profile: Profile) -> list:
-    entries = []
     claim = ("twisting the weights by point values implements the colon operation, "
              "and the stable/quasi-stable membership formulas match an independent "
              "dense-evaluation recomputation")
     rng = _rng(profile, "evaluation")
     chunk = 50
-    configs_left = profile.eval_configs
-    batch_index = 0
-    while configs_left > 0:
-        todo = min(chunk, configs_left)
-        configs_left -= todo
-        with _Timer() as t:
-            failure = None
-            for _ in range(todo):
-                length = rng.randint(1, 4)
-                points = rng.sample(range(-6, 7), length)
-                cfg = EvalConfig(QQ, tuple((Fraction(pt),) for pt in points),
-                                 tuple(_random_rational(rng) for _ in range(length)))
-                f = _random_poly(rng)
-                twisted = EvalConfig(QQ, cfg.points, alpha_f_B(f, cfg))
-                for _ in range(profile.poly_samples):
-                    g = _random_poly(rng)
-                    if nba_member(g * f, cfg) != nba_member(g, twisted):
-                        failure = {"what": "colon identity", "points": [str(x) for x in points]}
-                        break
-                if failure:
-                    break
-                independent = _independent_twist(cfg, f)
-                sigma_expected = sum(1 for v in independent if v) <= 1
-                tau_expected = _subset_sums_nonzero(independent)
-                if (nba_sigma_member(f, cfg) != sigma_expected
-                        or nba_tau_member(f, cfg) != tau_expected):
-                    failure = {"what": "membership formula",
-                               "points": [str(x) for x in points]}
-                    break
-        entries.append(CheckEntry(
-            check="evaluation-subspace-identities",
-            instance=f"batch {batch_index}: {todo} random rational configurations, "
-                     f"{profile.poly_samples} sampled polynomials each",
-            claim=claim,
-            expected="identities hold on every sample",
-            computed="hold" if failure is None else failure,
-            passed=failure is None,
-            runtime_ms=t.ms,
-        ))
-        batch_index += 1
+
+    def failure(todo):
+        for _ in range(todo):
+            length = rng.randint(1, 4)
+            points = rng.sample(range(-6, 7), length)
+            cfg = EvalConfig(QQ, tuple((Fraction(pt),) for pt in points),
+                             tuple(_random_rational(rng) for _ in range(length)))
+            f = _random_poly(rng)
+            twisted = EvalConfig(QQ, cfg.points, alpha_f_B(f, cfg))
+            for _ in range(profile.poly_samples):
+                g = _random_poly(rng)
+                if nba_member(g * f, cfg) != nba_member(g, twisted):
+                    return {"what": "colon identity", "points": [str(x) for x in points]}
+            independent = _independent_twist(cfg, f)
+            sigma_expected = sum(1 for v in independent if v) <= 1
+            tau_expected = _subset_sums_nonzero(independent)
+            if (nba_sigma_member(f, cfg) != sigma_expected
+                    or nba_tau_member(f, cfg) != tau_expected):
+                return {"what": "membership formula", "points": [str(x) for x in points]}
+
+    entries = []
+    for batch_index, start in enumerate(range(0, profile.eval_configs, chunk)):
+        todo = min(chunk, profile.eval_configs - start)
+        entries.append(_timed_entry(
+            "evaluation-subspace-identities",
+            f"batch {batch_index}: {todo} random rational configurations, "
+            f"{profile.poly_samples} sampled polynomials each",
+            claim, "identities hold on every sample", "hold", lambda: failure(todo)))
     return entries
 
 
@@ -670,96 +608,73 @@ def _double_sum_integral(f: Poly, q: Poly, a: Fraction, b: Fraction) -> Fraction
 
 
 def check_integration_battery(profile: Profile) -> list:
-    entries = []
     rng = _rng(profile, "integration")
+    samples = profile.integral_samples
 
-    with _Timer() as t:
-        failure = None
-        for _ in range(profile.integral_samples):
+    def nonzero_poly():
+        q = _random_poly(rng)
+        while q.is_zero():
+            q = _random_poly(rng)
+        return q
+
+    def routes_differ():
+        for _ in range(samples):
             a = _random_rational(rng)
             b = _random_rational(rng)
             if a == b:
                 b = a + 1
             f, q = _random_poly(rng), _random_poly(rng)
-            cfg = IntegralConfig(a, b, q)
-            if exact_integral(f, cfg) != _double_sum_integral(f, q, a, b):
-                failure = {"a": str(a), "b": str(b)}
-                break
-    entries.append(CheckEntry(
-        check="integration-battery",
-        instance=f"antiderivative route vs double-sum route, {profile.integral_samples} samples",
-        claim="the two exact integration routes agree",
-        expected="equal values",
-        computed="equal" if failure is None else failure,
-        passed=failure is None,
-        runtime_ms=t.ms,
-    ))
+            if exact_integral(f, IntegralConfig(a, b, q)) != _double_sum_integral(f, q, a, b):
+                return {"a": str(a), "b": str(b)}
 
-    with _Timer() as t:
-        failure = None
-        for _ in range(profile.integral_samples):
-            q = _random_poly(rng)
-            while q.is_zero():
-                q = _random_poly(rng)
+    def not_positive():
+        for _ in range(samples):
+            q = nonzero_poly()
             a = _random_rational(rng)
             b = a + Fraction(rng.randint(1, 5), rng.randint(1, 3))
-            cfg = IntegralConfig(a, b, q)
-            if exact_integral(q, cfg) <= 0:
-                failure = {"a": str(a), "b": str(b)}
-                break
-    entries.append(CheckEntry(
-        check="integration-battery",
-        instance=f"positivity of the square pairing, {profile.integral_samples} samples",
-        claim="the integral of q*q over a forward interval is strictly positive",
-        expected="positive",
-        computed="positive" if failure is None else failure,
-        passed=failure is None,
-    runtime_ms=t.ms,
-    ))
+            if exact_integral(q, IntegralConfig(a, b, q)) <= 0:
+                return {"a": str(a), "b": str(b)}
 
-    with _Timer() as t:
-        failure = None
-        for _ in range(profile.integral_samples):
-            q = _random_poly(rng)
-            while q.is_zero():
-                q = _random_poly(rng)
+    def inconsistent():
+        for _ in range(samples):
+            q = nonzero_poly()
             a = _random_rational(rng)
-            b = a + 1
-            cfg = IntegralConfig(a, b, q)
+            cfg = IntegralConfig(a, a + 1, q)
             h1 = _random_poly(rng)
             pairing = exact_integral(h1, cfg)
             if pairing != 0:
                 # outside the subspace: must be quasi-stable
                 if not nq_tau_member(h1, cfg) or nq_sigma_member(h1, cfg) != h1.is_zero():
-                    failure = {"case": "complement", "a": str(a)}
-                    break
+                    return {"case": "complement", "a": str(a)}
             inside = h1.scale(exact_integral(q, cfg)) - q.scale(pairing)
             if not inside.is_zero():
                 if not nq_member(inside, cfg) or nq_tau_member(inside, cfg) \
                         or nq_sigma_member(inside, cfg):
-                    failure = {"case": "member", "a": str(a)}
-                    break
+                    return {"case": "member", "a": str(a)}
             if not (nq_tau_member(Poly.zero(QQ), cfg) and nq_sigma_member(Poly.zero(QQ), cfg)):
-                failure = {"case": "zero"}
-                break
-    entries.append(CheckEntry(
-        check="integration-battery",
-        instance=f"quasi-stable membership consistency, {profile.integral_samples} samples",
-        claim=("the quasi-stable set of the integration subspace is its complement "
-               "plus zero, and the stable set is zero alone"),
-        expected="consistent",
-        computed="consistent" if failure is None else failure,
-        passed=failure is None,
-        runtime_ms=t.ms,
-    ))
-    return entries
+                return {"case": "zero"}
+
+    return [
+        _timed_entry("integration-battery",
+                     f"antiderivative route vs double-sum route, {samples} samples",
+                     "the two exact integration routes agree", "equal values", "equal",
+                     routes_differ),
+        _timed_entry("integration-battery",
+                     f"positivity of the square pairing, {samples} samples",
+                     "the integral of q*q over a forward interval is strictly positive",
+                     "positive", "positive", not_positive),
+        _timed_entry("integration-battery",
+                     f"quasi-stable membership consistency, {samples} samples",
+                     "the quasi-stable set of the integration subspace is its complement "
+                     "plus zero, and the stable set is zero alone",
+                     "consistent", "consistent", inconsistent),
+    ]
 
 
 # -- check 10: functorial transfers ---------------------------------------------------
 
 
 def check_functorial_identities(profile: Profile) -> list:
-    entries = []
     rng = _rng(profile, "functorial")
     cap = profile.element_cap
 
@@ -773,11 +688,11 @@ def check_functorial_identities(profile: Profile) -> list:
     mats2 = matrix_algebra(2, 2)
     pairs.append((column_module(mats2, 2), natural_module(mats2)))
     pairs.append((natural_module(mats2), column_module(mats2, 2)))
-    with _Timer() as t:
-        failure = None
+
+    def hom_failure():
         done = 0
         pair_idx = 0
-        while done < profile.hom_samples and failure is None:
+        while done < profile.hom_samples:
             source, target = pairs[pair_idx % len(pairs)]
             pair_idx += 1
             basis = module_hom_basis(source, target)
@@ -796,79 +711,40 @@ def check_functorial_identities(profile: Profile) -> list:
             h_space = _random_subspace(rng, target.field, target.dim)
             pulled = phi.pullback_subspace(h_space)
             for theta in THETAS:
-                tau_target = tau(target, h_space, theta, cap)
-                lhs = frozenset(u for u in enumerate_vectors(source.field, source.dim, cap)
-                                if phi.apply(u) in tau_target)
-                rhs = frozenset(tau(source, pulled, theta, cap))
-                sig_target = sigma(target, h_space, theta, cap)
-                lhs_s = frozenset(u for u in enumerate_vectors(source.field, source.dim, cap)
-                                  if phi.apply(u) in sig_target)
-                rhs_s = frozenset(sigma(source, pulled, theta, cap))
-                if lhs != rhs or lhs_s != rhs_s:
-                    failure = {"source": source.name, "target": target.name,
-                               "theta": theta}
-                    break
+                pulled_sets = tuple(
+                    _pulled_back(source.field, source.dim, phi.apply, image_set, cap)
+                    for image_set in _sets(target, h_space, theta, cap))
+                if pulled_sets != _sets(source, pulled, theta, cap):
+                    return {"source": source.name, "target": target.name, "theta": theta}
             done += 1
-    entries.append(CheckEntry(
-        check="functorial-identities",
-        instance=f"module-hom pullbacks, {profile.hom_samples} sampled maps, all sides",
-        claim="preimages under module homomorphisms commute with sigma and tau",
-        expected="equality",
-        computed="equal" if failure is None else failure,
-        passed=failure is None,
-        runtime_ms=t.ms,
-    ))
 
     # quotient maps of modules
-    with _Timer() as t:
-        failure = None
+    def quotient_failure():
         zoo = _module_zoo(profile)
         for i in range(max(10, profile.hom_samples // 4)):
             module = zoo[i % len(zoo)]
             n_space = _random_subspace(rng, module.field, module.dim)
-            v_space = module.max_submodule(n_space)
-            quot, proj = module.quotient_module(v_space)
+            quot, proj = module.quotient_module(module.max_submodule(n_space))
             n_image = proj.image_of_subspace(n_space)
             for theta in THETAS:
-                tau_quot = tau(quot, n_image, theta, cap)
-                pulled = frozenset(
-                    u for u in enumerate_vectors(module.field, module.dim, cap)
-                    if proj.apply(u) in tau_quot)
-                direct = frozenset(tau(module, n_space, theta, cap))
-                if pulled != direct:
-                    failure = {"module": module.name, "theta": theta, "set": "tau"}
-                    break
-                sigma_quot = sigma(quot, n_image, theta, cap)
-                pulled_s = frozenset(
-                    u for u in enumerate_vectors(module.field, module.dim, cap)
-                    if proj.apply(u) in sigma_quot)
-                direct_s = frozenset(sigma(module, n_space, theta, cap))
-                if pulled_s != direct_s:
-                    failure = {"module": module.name, "theta": theta, "set": "sigma"}
-                    break
-                # surjectivity: pushing forward gives the quotient-side sets
-                if frozenset(proj.apply(u) for u in direct) != frozenset(tau_quot):
-                    failure = {"module": module.name, "theta": theta, "set": "tau image"}
-                    break
-                if frozenset(proj.apply(u) for u in direct_s) != frozenset(sigma_quot):
-                    failure = {"module": module.name, "theta": theta, "set": "sigma image"}
-                    break
-            if failure:
-                break
-    entries.append(CheckEntry(
-        check="functorial-identities",
-        instance="quotient-map transfers over the module zoo, all sides",
-        claim=("for the quotient by the maximum submodule of N, sigma and tau of N are "
-               "the full preimages of sigma and tau of the image of N"),
-        expected="equality",
-        computed="equal" if failure is None else failure,
-        passed=failure is None,
-        runtime_ms=t.ms,
-    ))
+                sigma_quot, tau_quot = _sets(quot, n_image, theta, cap)
+                direct_sigma, direct_tau = _sets(module, n_space, theta, cap)
+                pulled_sigma, pulled_tau = (
+                    _pulled_back(module.field, module.dim, proj.apply, image_set, cap)
+                    for image_set in (sigma_quot, tau_quot))
+                comparisons = [
+                    ("tau", pulled_tau, direct_tau),
+                    ("sigma", pulled_sigma, direct_sigma),
+                    # surjectivity: pushing forward gives the quotient-side sets
+                    ("tau image", frozenset(map(proj.apply, direct_tau)), tau_quot),
+                    ("sigma image", frozenset(map(proj.apply, direct_sigma)), sigma_quot),
+                ]
+                for name, got, want in comparisons:
+                    if got != want:
+                        return {"module": module.name, "theta": theta, "set": name}
 
     # surjective algebra maps
-    with _Timer() as t:
-        failure = None
+    def algebra_map_failure():
         candidates = [truncated_poly(3, 2), truncated_poly(2, 3), upper_triangular(2, 2),
                       product_algebra(2, 2), product_algebra(3, 2)]
         for algebra in candidates:
@@ -884,73 +760,54 @@ def check_functorial_identities(profile: Profile) -> list:
                 quot, proj = quotient_algebra(algebra, ideal)
                 nat_a = natural_module(algebra)
                 nat_b = natural_module(quot)
+                apply = functools.partial(mat_vec, algebra.field, proj)
                 for _ in range(3):
                     j_space = _random_subspace(rng, quot.field, quot.dim)
                     pulled = preimage_subspace(algebra.field, proj, j_space, algebra.dim)
                     for theta in THETAS:
-                        tau_b = tau(nat_b, j_space, theta, cap)
-                        sigma_b = sigma(nat_b, j_space, theta, cap)
-                        lhs = frozenset(
-                            a for a in enumerate_vectors(algebra.field, algebra.dim, cap)
-                            if mat_vec(algebra.field, proj, a) in tau_b)
-                        rhs = frozenset(tau(nat_a, pulled, theta, cap))
-                        lhs_s = frozenset(
-                            a for a in enumerate_vectors(algebra.field, algebra.dim, cap)
-                            if mat_vec(algebra.field, proj, a) in sigma_b)
-                        rhs_s = frozenset(sigma(nat_a, pulled, theta, cap))
-                        if lhs != rhs or lhs_s != rhs_s:
-                            failure = {"algebra": algebra.name, "theta": theta}
-                            break
-                    if failure:
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-    entries.append(CheckEntry(
-        check="functorial-identities",
-        instance="surjective algebra maps (quotients by principal ideals), all sides",
-        claim="for surjective algebra maps the tau preimage transfer is an equality",
-        expected="equality",
-        computed="equal" if failure is None else failure,
-        passed=failure is None,
-        runtime_ms=t.ms,
-    ))
-    return entries
+                        pulled_sets = tuple(
+                            _pulled_back(algebra.field, algebra.dim, apply, image_set, cap)
+                            for image_set in _sets(nat_b, j_space, theta, cap))
+                        if pulled_sets != _sets(nat_a, pulled, theta, cap):
+                            return {"algebra": algebra.name, "theta": theta}
+
+    return [
+        _timed_entry("functorial-identities",
+                     f"module-hom pullbacks, {profile.hom_samples} sampled maps, all sides",
+                     "preimages under module homomorphisms commute with sigma and tau",
+                     "equality", "equal", hom_failure),
+        _timed_entry("functorial-identities",
+                     "quotient-map transfers over the module zoo, all sides",
+                     "for the quotient by the maximum submodule of N, sigma and tau of N are "
+                     "the full preimages of sigma and tau of the image of N",
+                     "equality", "equal", quotient_failure),
+        _timed_entry("functorial-identities",
+                     "surjective algebra maps (quotients by principal ideals), all sides",
+                     "for surjective algebra maps the tau preimage transfer is an equality",
+                     "equality", "equal", algebra_map_failure),
+    ]
 
 
 # -- check 11: one-dimensional division algebras --------------------------------------
 
 
 def check_division_algebra_sets(profile: Profile) -> list:
-    entries = []
     claim = ("over a one-dimensional algebra the only subspaces are zero and "
              "everything, and both have full stable and quasi-stable sets")
-    for p in (2, 3, 5, 7):
-        with _Timer() as t:
-            algebra = field_algebra(p)
-            module = natural_module(algebra)
-            everything = frozenset(enumerate_vectors(algebra.field, 1, profile.element_cap))
-            mismatch = None
-            for n_space in enumerate_subspaces(algebra.field, 1, profile.element_cap):
-                for theta in THETAS:
-                    got_sigma = frozenset(sigma(module, n_space, theta, profile.element_cap))
-                    got_tau = frozenset(tau(module, n_space, theta, profile.element_cap))
-                    if got_sigma != everything or got_tau != everything:
-                        mismatch = {"subspace": n_space.to_json(), "theta": theta}
-                        break
-                if mismatch:
-                    break
-        entries.append(CheckEntry(
-            check="division-algebra-sets",
-            instance=f"GF({p}) as a one-dimensional algebra, both subspaces, all sides",
-            claim=claim,
-            expected="full sets",
-            computed="full" if mismatch is None else mismatch,
-            passed=mismatch is None,
-            runtime_ms=t.ms,
-        ))
-    return entries
+
+    def mismatch(p):
+        algebra = field_algebra(p)
+        module = natural_module(algebra)
+        everything = frozenset(enumerate_vectors(algebra.field, 1, profile.element_cap))
+        for n_space in enumerate_subspaces(algebra.field, 1, profile.element_cap):
+            for theta in THETAS:
+                if _sets(module, n_space, theta, profile.element_cap) != (everything, everything):
+                    return {"subspace": n_space.to_json(), "theta": theta}
+
+    return [_timed_entry("division-algebra-sets",
+                         f"GF({p}) as a one-dimensional algebra, both subspaces, all sides",
+                         claim, "full sets", "full", lambda: mismatch(p))
+            for p in (2, 3, 5, 7)]
 
 
 # -- suite assembly -------------------------------------------------------------------
