@@ -275,7 +275,8 @@ def cmd_verify_paper(args):
     if args.cap != DEFAULT_ELEMENT_CAP:
         profile.element_cap = args.cap
     report = run_suite(profile, jobs=args.jobs)
-    _emit(args, report.to_json(with_timing=not args.no_timing), [report.to_text()])
+    with_timing = not args.no_timing
+    _emit(args, report.to_json(with_timing), [report.to_text(with_timing)])
     return 0 if report.passed else 1
 
 

@@ -30,14 +30,6 @@ def zero_vector(field: Field, n: int) -> tuple:
     return (field.zero,) * n
 
 
-def vec_add(field: Field, u: Sequence, v: Sequence) -> tuple:
-    p = field.p
-    if p is None:
-        add = field.add
-        return tuple(add(a, b) for a, b in zip(u, v))
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
 def vec_scale(field: Field, c, u: Sequence) -> tuple:
     p = field.p
     if p is None:
@@ -240,19 +232,18 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def elements(self) -> Iterator[tuple]:
-        """All vectors of the subspace (finite fields only)."""
+        """All vectors of the subspace (finite fields only), lazily, in
+        `itertools.product` order of the coefficients, first basis row slowest."""
         field = self.field
         if field.is_rational and self.basis:
             raise ValueError("cannot enumerate a rational subspace")
         if not self.basis:
             yield zero_vector(field, self.ambient_dim)
             return
-        for coeffs in itertools.product(range(field.p), repeat=len(self.basis)):
-            v = zero_vector(field, self.ambient_dim)
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(field, v, vec_scale(field, c, row))
-            yield v
+        p = field.p
+        cols = tuple(zip(*self.basis))
+        for coeffs in itertools.product(range(p), repeat=len(self.basis)):
+            yield tuple(sum(map(_mul, coeffs, col)) % p for col in cols)
 
     def to_json(self):
         f = self.field

@@ -115,7 +115,11 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     """Scan every a whose full power sequence stays in J and every multiplier.
 
     The eventual periodicity of powers makes "for all large exponents"
-    equivalent to "for every element of the power cycle".
+    equivalent to "for every element of the power cycle".  The scan visits
+    every a and every multiplier in index order, and skips only what cannot
+    change its first witness: an a outside J (a = a^1), a cycle element x
+    whose multiplier scan already passed in this decision, and a product
+    b*x already scanned for a smaller b.
     """
     theta = normalize_theta(theta)
     count = _check_finite(algebra, cap)
@@ -137,13 +141,16 @@ def _bruteforce_indexed(algebra, j, theta, count, table):
     check_left = theta in ("left", "pre")
     check_right = theta in ("right", "pre")
     rng = range(count)
+    passed = set()
     for a_idx in rng:
-        tail, cycle = algebra.trajectory_indices(a_idx)
-        if not all(mem[x] for x in tail):
+        if not mem[a_idx]:
             continue
-        if not all(mem[x] for x in cycle):
+        tail, cycle = algebra.trajectory_indices(a_idx)
+        if not all(mem[x] for x in tail) or not all(mem[x] for x in cycle):
             continue
         for pos, x in enumerate(cycle):
+            if x in passed:
+                continue
             power = len(tail) + pos + 1
             if check_left:
                 for b in rng:
@@ -155,13 +162,17 @@ def _bruteforce_indexed(algebra, j, theta, count, table):
                     if not mem[row[c]]:
                         return _indexed_witness(algebra, a_idx, power, c=c)
             if theta == "two":
-                products = {table[b][x] for b in rng}
-                for bx in products:
+                seen = set()
+                for b in rng:
+                    bx = table[b][x]
+                    if bx in seen:
+                        continue
+                    seen.add(bx)
                     row = table[bx]
                     for c in rng:
                         if not mem[row[c]]:
-                            b = next(bb for bb in rng if table[bb][x] == bx)
                             return _indexed_witness(algebra, a_idx, power, b=b, c=c)
+            passed.add(x)
     return MathieuVerdict(True)
 
 
@@ -180,11 +191,16 @@ def _bruteforce_generic(algebra, j, theta, cap):
     check_left = theta in ("left", "pre")
     check_right = theta in ("right", "pre")
     elems = algebra.element_list(cap)
+    passed = set()
     for a in elems:
+        if not j.contains(a):
+            continue
         traj = algebra.power_trajectory(a)
         if not traj.all_powers_in(j):
             continue
         for pos, x in enumerate(traj.cycle):
+            if x in passed:
+                continue
             power = len(traj.tail) + pos + 1
             if check_left:
                 for b in elems:
@@ -197,12 +213,17 @@ def _bruteforce_generic(algebra, j, theta, cap):
                         return MathieuVerdict(False, {
                             "kind": "mathieu", "a": a, "b": None, "c": c, "power": power})
             if theta == "two":
+                seen = set()
                 for b in elems:
                     bx = algebra.multiply(b, x)
+                    if bx in seen:
+                        continue
+                    seen.add(bx)
                     for c in elems:
                         if not j.contains(algebra.multiply(bx, c)):
                             return MathieuVerdict(False, {
                                 "kind": "mathieu", "a": a, "b": b, "c": c, "power": power})
+            passed.add(x)
     return MathieuVerdict(True)
 
 

@@ -146,11 +146,12 @@ class VerificationReport:
             "entries": [e.to_json(with_timing) for e in self.entries],
         }
 
-    def to_text(self) -> str:
+    def to_text(self, with_timing: bool = True) -> str:
         lines = []
         for e in self.entries:
             mark = "PASS" if e.passed else "FAIL"
-            lines.append(f"[{mark}] {e.check} :: {e.instance} ({e.runtime_ms:.0f} ms)")
+            timing = f" ({e.runtime_ms:.0f} ms)" if with_timing else ""
+            lines.append(f"[{mark}] {e.check} :: {e.instance}{timing}")
             if not e.passed:
                 lines.append(f"       claim:    {e.claim}")
                 lines.append(f"       expected: {e.expected}")

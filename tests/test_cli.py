@@ -27,7 +27,7 @@ from mathieuspaces.serialize import (
 )
 from mathieuspaces.modules import natural_module
 from mathieuspaces.polyspaces import Poly, omega_member
-from mathieuspaces.verify import CheckEntry, Profile, run_suite
+from mathieuspaces.verify import CheckEntry, Profile, VerificationReport, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +300,22 @@ def test_report_determinism_modulo_timing():
     a = run_suite(profile).to_json(with_timing=False)
     b = run_suite(profile).to_json(with_timing=False)
     assert a == b
+
+
+def test_text_report_without_timing_is_byte_stable(tmp_path, capsys):
+    prof = tmp_path / "prof.json"
+    prof.write_text(json.dumps({"primes": [2], "subspace_samples": 5, "pair_samples": 12,
+                                "hom_samples": 4, "eval_configs": 4, "integral_samples": 5}))
+    argv = ("verify-paper", "--profile", str(prof), "--format", "text", "--no-timing")
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv) == (0, first, "")
+    assert "ms)" not in first
+    entry = CheckEntry(check="c", instance="i", claim="", expected=True, computed=True,
+                       passed=True, runtime_ms=12.3)
+    report = VerificationReport([entry])
+    assert report.to_text().splitlines()[0] == "[PASS] c :: i (12 ms)"
+    assert report.to_text(with_timing=False).splitlines()[0] == "[PASS] c :: i"
 
 
 def test_gen_opposite_and_quotient(tmp_path, capsys):

@@ -7,20 +7,32 @@ forms: subspaces are plain Python sets built by additive closure and every
 quantifier is a raw scan.  The per-element oracle for sigma/tau further down
 does use the library's colon spaces and deciders, but computes one colon
 space and one decision per element, with no caches and no class reduction.
+The brute-force Mathieu scan is also diffed against its own loop without the
+work it skips (`unpruned_bruteforce`).
 """
 
 import itertools
 import random
 
+import pytest
+
 from mathieuspaces.algebras import (
+    builder_spec_to_algebra,
     matrix_algebra,
     product_algebra,
     truncated_poly,
     upper_triangular,
 )
 from mathieuspaces.fields import GF, QQ
-from mathieuspaces.linalg import Subspace, enumerate_vectors, solve_right_kernel
+from mathieuspaces.linalg import (
+    DEFAULT_ELEMENT_CAP,
+    Subspace,
+    enumerate_subspaces,
+    enumerate_vectors,
+    solve_right_kernel,
+)
 from mathieuspaces.mathieu import (
+    MathieuVerdict,
     is_theta_ideal,
     is_theta_mathieu_bruteforce,
     is_theta_mathieu_idempotent,
@@ -332,3 +344,52 @@ def test_trace_hyperplanes_share_colon_kernels_across_n(monkeypatch):
             sigma(module, h_x, theta)
             tau(module, h_x, theta)
     assert 0 < kernels[0] <= 157
+
+
+def unpruned_bruteforce(algebra, j, theta, cap):
+    """The brute-force scan before it skipped anything: a trajectory for every
+    a, a multiplier scan for every cycle element of every such a, and one
+    inner scan per b on the two-sided selector."""
+    check_left = theta in ("left", "pre")
+    check_right = theta in ("right", "pre")
+    elems = algebra.element_list(cap)
+    for a in elems:
+        traj = algebra.power_trajectory(a)
+        if not traj.all_powers_in(j):
+            continue
+        for pos, x in enumerate(traj.cycle):
+            power = len(traj.tail) + pos + 1
+            if check_left:
+                for b in elems:
+                    if not j.contains(algebra.multiply(b, x)):
+                        return MathieuVerdict(False, {
+                            "kind": "mathieu", "a": a, "b": b, "c": None, "power": power})
+            if check_right:
+                for c in elems:
+                    if not j.contains(algebra.multiply(x, c)):
+                        return MathieuVerdict(False, {
+                            "kind": "mathieu", "a": a, "b": None, "c": c, "power": power})
+            if theta == "two":
+                for b in elems:
+                    bx = algebra.multiply(b, x)
+                    for c in elems:
+                        if not j.contains(algebra.multiply(bx, c)):
+                            return MathieuVerdict(False, {
+                                "kind": "mathieu", "a": a, "b": b, "c": c, "power": power})
+    return MathieuVerdict(True)
+
+
+@pytest.mark.parametrize("spec", [("product", 3, 2), ("truncated", 3, 3),
+                                  ("upper", 2, 3), ("matrix", 2, 2)])
+def test_bruteforce_scan_against_the_unpruned_loop(spec):
+    """Same verdict and witness on every subspace and side, on the table path
+    and on the generic path."""
+    indexed = builder_spec_to_algebra(spec)
+    generic = builder_spec_to_algebra(spec)
+    generic.mult_table = lambda: None
+    assert indexed.mult_table() is not None
+    for j in enumerate_subspaces(indexed.field, indexed.dim):
+        for theta in THETAS:
+            expected = unpruned_bruteforce(generic, j, theta, DEFAULT_ELEMENT_CAP)
+            assert is_theta_mathieu_bruteforce(indexed, j, theta) == expected, (j.basis, theta)
+            assert is_theta_mathieu_bruteforce(generic, j, theta) == expected, (j.basis, theta)

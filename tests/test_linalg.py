@@ -1,3 +1,6 @@
+import inspect
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -327,3 +330,30 @@ def test_residual_row_membership_matches_the_naive_reduction(case):
         assert want == all(x % j.field.p == 0 for x in v)
     with pytest.raises(ValueError):
         j.contains(v + (0,))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspace_elements_in_coefficient_order(p):
+    """`elements()` is lazy and lists sum_i c_i * row_i over
+    `itertools.product` of the coefficients, first basis row slowest."""
+    field, n = GF(p), 4
+    rng = random.Random(p)
+    spaces = [Subspace.zero(field, n), Subspace.full(field, n)]
+    spaces += [Subspace(field, n, [[rng.randrange(p) for _ in range(n)] for _ in range(k)])
+               for k in (1, 2, 3)]
+    for s in spaces:
+        gen = s.elements()
+        assert inspect.isgenerator(gen)
+        expected = []
+        for coeffs in itertools.product(range(p), repeat=s.dim):
+            v = [0] * n
+            for c, row in zip(coeffs, s.basis):
+                v = [(x + c * y) % p for x, y in zip(v, row)]
+            expected.append(tuple(v))
+        assert list(gen) == expected
+    assert list(Subspace.full(field, n).elements()) == list(enumerate_vectors(field, n))
+
+
+def test_rational_subspace_elements_refused():
+    with pytest.raises(ValueError):
+        next(Subspace(QQ, 2, [(1, 2)]).elements())

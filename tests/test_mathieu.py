@@ -467,6 +467,42 @@ def test_cap_is_enforced_for_deciders():
         is_theta_mathieu_bruteforce(M2F3, trace_zero(3), "two", cap=10)
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(Algebra, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Algebra, name, counted)
+    return calls
+
+
+def test_generic_bruteforce_traces_only_elements_of_j(monkeypatch):
+    t = truncated_poly(5, 5)
+    assert t.mult_table() is None
+    line = Subspace(GF(5), 5, [(0, 0, 0, 0, 1)])
+    trajectories = _counting(monkeypatch, "power_trajectory")
+    products = _counting(monkeypatch, "multiply")
+    assert is_theta_mathieu_bruteforce(t, line, "left").is_mathieu
+    # one trajectory per a in J (5 of 3125), and the common cycle (0) is
+    # scanned against the 3125 multipliers once, not once per a
+    assert {a for (a,) in trajectories} <= set(line.elements())
+    assert len(trajectories) <= 5
+    assert len(products) < 2 * t.element_count()
+
+
+def test_indexed_bruteforce_traces_only_elements_of_j(monkeypatch):
+    t = truncated_poly(3, 5)
+    assert t.mult_table() is not None
+    line = Subspace(GF(5), 3, [(0, 0, 1)])
+    trajectories = _counting(monkeypatch, "trajectory_indices")
+    assert is_theta_mathieu_bruteforce(t, line, "left").is_mathieu
+    assert {t.vector_at(idx) for (idx,) in trajectories} <= set(line.elements())
+    assert len(trajectories) <= 5
+
+
 def test_every_negative_verdict_carries_a_valid_witness():
     rng = random.Random(61)
     for algebra in (M2F2, upper_triangular(2, 2), M2F3):
