@@ -14,10 +14,13 @@ from typing import Iterator, Sequence
 from .fields import Field, GF
 from .linalg import (
     DEFAULT_ELEMENT_CAP,
+    BoundedMemo,
     EnumerationCapExceeded,
     Subspace,
     enumerate_vectors,
     index_to_vector,
+    mat_vec,
+    residual_matrix,
     vector_count,
     vector_to_index,
     zero_vector,
@@ -37,6 +40,9 @@ _THETA_ALIASES = {
 
 # Full multiplication tables are only materialized for small element counts.
 TABLE_MAX_ELEMENTS = 2048
+
+# Ideal and Mathieu witnesses one algebra memoizes (see mathieu._witness).
+VERDICT_MEMO_SIZE = 4096
 
 
 def normalize_theta(theta: str) -> str:
@@ -106,9 +112,9 @@ class Algebra:
         )
         self._elements: tuple | None = None
         self._table: list | None = None
-        self._trajectories: dict = {}
+        self._trajectories: dict = {}  # at most TABLE_MAX_ELEMENTS, see trajectory_indices
         self._idempotents: tuple | None = None
-        self._memo: dict = {}
+        self._memo = BoundedMemo(VERDICT_MEMO_SIZE)
         if check:
             self._validate()
 
@@ -170,19 +176,23 @@ class Algebra:
 
     # -- element enumeration ----------------------------------------------------
 
-    def element_count(self) -> int:
-        if self._count is None:  # over Q, where vector_count refuses
-            return vector_count(self.field, self.dim)
-        return self._count
+    def element_count(self, cap: int | None = None) -> int:
+        """p^dim, the elements an exhaustive scan visits; refused over Q, and
+        above `cap` when one is given."""
+        count = self._count
+        if count is None:
+            raise ValueError("enumerating the algebra needs a finite field")
+        if cap is not None and count > cap:
+            raise EnumerationCapExceeded(count, cap)
+        return count
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[tuple]:
         return enumerate_vectors(self.field, self.dim, cap)
 
     def element_list(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
+        self.element_count(cap)
         if self._elements is None:
             self._elements = tuple(self.elements(cap))
-        elif len(self._elements) > cap:
-            raise EnumerationCapExceeded(len(self._elements), cap)
         return self._elements
 
     def index_of(self, v: Sequence) -> int:
@@ -236,40 +246,37 @@ class Algebra:
         return PowerTrajectory(element=a, tail=tuple(seq[:j]), cycle=tuple(seq[j:]))
 
     def trajectory_indices(self, idx: int) -> tuple:
-        """(tail, cycle) of element #idx as index tuples, via the mult table."""
+        """(tail, cycle) of element #idx as index tuples, via the mult table;
+        refused when the algebra has none."""
         cached = self._trajectories.get(idx)
         if cached is not None:
             return cached
         table = self.mult_table()
         if table is None:
-            traj = self.power_trajectory(self.vector_at(idx))
-            out = (tuple(self.index_of(v) for v in traj.tail),
-                   tuple(self.index_of(v) for v in traj.cycle))
-        else:
-            seen: dict = {}
-            seq: list = []
-            x = idx
-            while x not in seen:
-                seen[x] = len(seq)
-                seq.append(x)
-                x = table[x][idx]
-            j = seen[x]
-            out = (tuple(seq[:j]), tuple(seq[j:]))
-        self._trajectories[idx] = out
+            raise ValueError(f"{self.name} has no multiplication table: it is over Q "
+                             f"or has more than {TABLE_MAX_ELEMENTS} elements")
+        seen: dict = {}
+        seq: list = []
+        x = idx
+        while x not in seen:
+            seen[x] = len(seq)
+            seq.append(x)
+            x = table[x][idx]
+        j = seen[x]
+        out = self._trajectories[idx] = (tuple(seq[:j]), tuple(seq[j:]))
         return out
 
     # -- special element sets ---------------------------------------------------
 
     def idempotents(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         """All e with e*e = e, in lexicographic order."""
+        self.element_count(cap)
         if self._idempotents is None:
             found = []
             for a in self.elements(cap):
                 if self.multiply(a, a) == a:
                     found.append(a)
             self._idempotents = tuple(found)
-        elif self.element_count() > cap:
-            raise EnumerationCapExceeded(self.element_count(), cap)
         return self._idempotents
 
     def is_nilpotent(self, a: Sequence) -> bool:
@@ -459,8 +466,6 @@ def quotient_algebra(a: Algebra, i_space: Subspace):
     Quotient coordinates are the non-pivot coordinates of the ideal's
     canonical basis, so the projection is a plain matrix.
     """
-    from .linalg import mat_vec, residual_matrix
-
     if i_space.ambient_dim != a.dim or i_space.field != a.field:
         raise ValueError("subspace does not live in this algebra")
     if ideal_violation_witness(a, i_space, "two") is not None:

@@ -26,16 +26,28 @@ class EnumerationCapExceeded(ValueError):
         super().__init__(f"enumeration of {count} {what} exceeds cap {cap}")
 
 
+class BoundedMemo(dict):
+    """A memo that holds at most `size` entries; `put` drops the oldest first.
+
+    Lookups are the plain dict ones (`in`, `get`, `[]`), so a stored None is
+    a hit and a hit costs what a dict hit costs."""
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def put(self, key, value):
+        """Store `value` under `key` and return it."""
+        if len(self) >= self.size and key not in self:
+            del self[next(iter(self))]
+        self[key] = value
+        return value
+
+
 def zero_vector(field: Field, n: int) -> tuple:
     return (field.zero,) * n
-
-
-def vec_scale(field: Field, c, u: Sequence) -> tuple:
-    p = field.p
-    if p is None:
-        mul = field.mul
-        return tuple(mul(c, a) for a in u)
-    return tuple(c * a % p for a in u)
 
 
 def mat_vec(field: Field, rows: Sequence[Sequence], v: Sequence) -> tuple:

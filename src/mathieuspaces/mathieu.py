@@ -17,7 +17,6 @@ from typing import Sequence
 from .algebras import Algebra, ideal_violation_witness, normalize_theta
 from .linalg import (
     DEFAULT_ELEMENT_CAP,
-    EnumerationCapExceeded,
     Subspace,
     enumerate_subspaces,
     enumerate_vectors,
@@ -25,9 +24,6 @@ from .linalg import (
 from .modules import ModuleSpace
 
 PRE_NOTE = "pre-two-sided ideals are taken to be two-sided ideals"
-
-# Ideal and Mathieu witnesses one algebra memoizes; the oldest goes first.
-VERDICT_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -101,15 +97,6 @@ def is_theta_ideal(algebra: Algebra, j: Subspace, theta: str) -> bool:
 # -- Mathieu deciders -----------------------------------------------------------
 
 
-def _check_finite(algebra: Algebra, cap: int):
-    if algebra.field.is_rational:
-        raise ValueError("exhaustive deciders need a finite field")
-    count = algebra.element_count()
-    if count > cap:
-        raise EnumerationCapExceeded(count, cap)
-    return count
-
-
 def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
                                 cap: int = DEFAULT_ELEMENT_CAP) -> MathieuVerdict:
     """Scan every a whose full power sequence stays in J and every multiplier.
@@ -122,7 +109,7 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     b*x already scanned for a smaller b.
     """
     theta = normalize_theta(theta)
-    count = _check_finite(algebra, cap)
+    count = algebra.element_count(cap)
     if j.ambient_dim != algebra.dim or j.field != algebra.field:
         raise ValueError("subspace does not live in this algebra")
     if j.is_full():
@@ -236,11 +223,9 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     would admit one.
     """
     theta = normalize_theta(theta)
-    if algebra.field.is_rational:
-        raise ValueError("idempotent enumeration needs a finite field")
+    algebra.element_count(cap)
     if j.ambient_dim != algebra.dim or j.field != algebra.field:
         raise ValueError("subspace does not live in this algebra")
-    _check_finite(algebra, cap)
     if j.is_full():
         return MathieuVerdict(True)
     basis = algebra._basis
@@ -342,18 +327,13 @@ def _witness(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -
     "idem" or "brute"), or None when it is; memoized on the algebra."""
     key = (method, theta, j.basis)
     memo = algebra._memo
-    if key in memo:
-        if method != "ideal" and algebra._count > cap:
-            # a cold decision enumerates the algebra and would refuse
-            raise EnumerationCapExceeded(algebra._count, cap)
-        return memo[key]
-    if method == "ideal":
-        witness = ideal_violation_witness(algebra, j, theta)
-    else:
-        witness = decide(algebra, j, theta, method, cap).witness
-    if len(memo) >= VERDICT_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = witness
+    witness = memo.get(key, memo)  # the memo marks a miss, since None is a verdict
+    if witness is memo:
+        if method == "ideal":
+            return memo.put(key, ideal_violation_witness(algebra, j, theta))
+        return memo.put(key, decide(algebra, j, theta, method, cap).witness)
+    if method != "ideal":  # a cold decision enumerates the algebra and would refuse
+        algebra.element_count(cap)
     return witness
 
 

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .algebras import Algebra, opposite
 from .linalg import (
+    BoundedMemo,
     Subspace,
     identity_matrix,
     image_subspace,
@@ -22,13 +23,11 @@ from .linalg import (
     rref_rows,
     solve_right_kernel,
     subspace_intersect,
-    vec_scale,
     vector_count,
 )
 
-# Subspaces N whose colon classes one module keeps, colon spaces one module
-# keeps by the row space that defines them, and classes of u whose colon spaces
-# a point query keeps for one N; the oldest goes first.
+# Subspaces N whose colon classes one module keeps, and colon spaces one module
+# keeps by the row space that defines them.
 COLON_CACHE_SIZE = 256
 
 
@@ -56,8 +55,8 @@ class ModuleSpace:
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
         # row r*dim + s holds entry (r, s) of every action matrix
         self._action_entries = tuple(zip(*(sum(m, ()) for m in self.actions)))
-        self._colon_classes: dict = {}
-        self._colons: dict = {}  # canonical rows of C_N(u) -> (N:u); see ColonClasses
+        self._colon_classes = BoundedMemo(COLON_CACHE_SIZE)  # basis of N -> ColonClasses
+        self._colons = BoundedMemo(COLON_CACHE_SIZE)  # canonical rows of C_N(u) -> (N:u)
         if check:
             self._validate()
 
@@ -107,16 +106,14 @@ class ModuleSpace:
         """The colon spaces of N, one per class of u; kept for the last
         COLON_CACHE_SIZE subspaces N."""
         self._check_subspace(n_space)
-        cache = self._colon_classes
-        hit = cache.get(n_space.basis)
+        hit = self._colon_classes.get(n_space.basis)
         if hit is None:
-            if len(cache) >= COLON_CACHE_SIZE:
-                del cache[next(iter(cache))]
-            hit = cache[n_space.basis] = ColonClasses(self, n_space)
+            hit = self._colon_classes.put(n_space.basis, ColonClasses(self, n_space))
         return hit
 
     def colon_cached(self, n_space: Subspace, u: Sequence) -> Subspace:
-        """(N:u), computed once per class of u (see ColonClasses)."""
+        """(N:u) through the class map of N, one kernel per class of u (see
+        ColonClasses)."""
         return self.colon_classes(n_space).colon(u)
 
     def inverse_image(self, a: Sequence, n_space: Subspace) -> Subspace:
@@ -178,21 +175,19 @@ class ModuleSpace:
 
 
 class ColonClasses:
-    """(N:u) for every module element u, computed once per class of u.
+    """(N:u) for every module element u, one kernel per class of u.
 
     (N:cu) = (N:u) for a scalar c != 0, and (N:u+v) = (N:u) for v in the
-    largest submodule V inside N.  So u is reduced modulo V and scaled until
-    its first nonzero coordinate is 1, and only that representative's colon
-    space is computed.  The representatives are exactly zero and the vectors
-    on the non-pivot coordinates of V whose first nonzero entry is 1, so over
-    GF(p) `classes` lists them instead of reducing every element.  Point
-    queries keep the colon spaces of the last COLON_CACHE_SIZE classes, oldest
-    out first.
+    largest submodule V inside N.  The classes are represented by zero and
+    the vectors on the non-pivot coordinates of V whose first nonzero entry
+    is 1, so over GF(p) `classes` lists them instead of reducing every
+    element.
 
     With R_N the residual map of N (kernel N), a.u lies in N iff
     sum_i a_i F_i u = 0 for F_i = R_N A_i.  The F_i are composed once per N,
-    so a class costs one matrix-vector product and one row reduction; the
-    kernel is built only for a row space the module has not seen.
+    so a query costs one matrix-vector product and one row reduction; the
+    kernel is built only for a row space the module has not seen.  C_N(cu+v)
+    has the row space of C_N(u), so every u of a class finds its kernel there.
     """
 
     def __init__(self, module: ModuleSpace, n_space: Subspace):
@@ -204,43 +199,20 @@ class ColonClasses:
         # row i*codim + r is row r of F_i
         self._forms = tuple(row for action in module.actions
                             for row in mat_mul(module.field, resid, action))
-        self._by_class: dict = {}  # class representative -> colon space
         self._classes: list | None = None
 
-    def representative(self, u: Sequence) -> tuple:
-        field = self.module.field
-        v = self.submodule.reduce(u)
-        for x in v:
-            if x:
-                return v if x == field.one else vec_scale(field, field.inv(x), v)
-        return v
-
     def colon(self, u: Sequence) -> Subspace:
-        rep = self.representative(u)
-        memo = self._by_class
-        hit = memo.get(rep)
-        if hit is None:
-            if len(memo) >= COLON_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            hit = memo[rep] = self._colon_space(rep)
-        return hit
-
-    def _colon_space(self, u: Sequence) -> Subspace:
         """(N:u) as the kernel of C_N(u), the codim x dim_A matrix with columns
         F_i u.  The kernel depends only on the row space of C_N(u), so the
-        module keeps its last COLON_CACHE_SIZE kernels by canonical rows,
-        shared by every N."""
+        module keeps its kernels by canonical rows, shared by every N."""
         module, k = self.module, self._codim
         field = module.field
         images = mat_vec(field, self._forms, u)
         rows, _ = rref_rows(field, [images[r::k] for r in range(k)])
         key = tuple(rows)
-        memo = module._colons
-        hit = memo.get(key)
+        hit = module._colons.get(key)
         if hit is None:
-            if len(memo) >= COLON_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            hit = memo[key] = solve_right_kernel(field, rows, module.algebra.dim)
+            hit = module._colons.put(key, solve_right_kernel(field, rows, module.algebra.dim))
         return hit
 
     def classes(self, cap: int) -> list | None:
@@ -253,7 +225,7 @@ class ColonClasses:
         if self._classes is None:
             groups: dict = {}  # colon basis -> (colon, representatives)
             for rep in self._representatives():
-                colon = self._colon_space(rep)
+                colon = self.colon(rep)
                 groups.setdefault(colon.basis, (colon, []))[1].append(rep)
             self._classes = list(groups.values())
         return self._classes

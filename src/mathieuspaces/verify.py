@@ -12,6 +12,7 @@ witness, which the standalone `verify-witness` verb re-validates.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import random
 import time
@@ -549,10 +550,9 @@ def _independent_twist(cfg: EvalConfig, f: Poly) -> list:
 
 
 def _subset_sums_nonzero(values: Sequence[Fraction]) -> bool:
-    import itertools as it
     nz = [v for v in values if v]
     for size in range(1, len(nz) + 1):
-        for combo in it.combinations(nz, size):
+        for combo in itertools.combinations(nz, size):
             if sum(combo) == 0:
                 return False
     return True

@@ -103,6 +103,33 @@ def test_power_trajectory_rejects_rationals():
         a.power_trajectory(a.unit)
 
 
+def test_trajectory_indices_match_power_trajectory_and_need_a_table():
+    algebra = matrix_algebra(2, 3)
+    for idx in range(algebra.element_count()):
+        traj = algebra.power_trajectory(algebra.vector_at(idx))
+        assert algebra.trajectory_indices(idx) == (
+            tuple(map(algebra.index_of, traj.tail)), tuple(map(algebra.index_of, traj.cycle)))
+    # 3125 elements, over TABLE_MAX_ELEMENTS, and over Q: no table, no indices
+    for no_table in (truncated_poly(5, 5), matrix_algebra(2, QQ)):
+        assert no_table.mult_table() is None
+        with pytest.raises(ValueError, match="no multiplication table"):
+            no_table.trajectory_indices(1)
+
+
+def test_element_count_is_the_one_cap_refusal():
+    from mathieuspaces.linalg import EnumerationCapExceeded
+
+    algebra = matrix_algebra(2, 3)
+    assert algebra.element_count() == algebra.element_count(81) == 81
+    with pytest.raises(EnumerationCapExceeded) as err:
+        algebra.element_count(80)
+    assert (err.value.count, err.value.cap) == (81, 80)
+    rational = matrix_algebra(2, QQ)
+    for refuse in (rational.element_count, rational.element_list, rational.idempotents):
+        with pytest.raises(ValueError, match="finite field"):
+            refuse()
+
+
 def test_trajectory_cycle_rotates_under_multiplication():
     rng = random.Random(11)
     algebra = matrix_algebra(2, 3)

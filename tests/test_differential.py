@@ -258,6 +258,18 @@ def _subspace_of_dim(rng, field, dim, k):
             return n_space
 
 
+def _class_representative(classes, u):
+    """u reduced modulo the largest submodule inside N and scaled to first
+    nonzero entry 1: the reference for the representatives the class map lists."""
+    field = classes.module.field
+    v = classes.submodule.reduce(u)
+    for x in v:
+        if x:
+            inv = field.inv(x)
+            return tuple(field.mul(inv, y) for y in v)
+    return v
+
+
 def test_class_map_colon_spaces_against_the_per_query_colon():
     rng = random.Random(433)
     modules = _module_zoo(Profile(primes=(2, 3))) + [natural_module(matrix_algebra(2, 5))]
@@ -272,7 +284,7 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
             groups = classes.classes(len(elements))
             reps = [r for _colon, members in groups for r in members]
             assert reps[0] == (0,) * dim and len(reps) == len(set(reps))
-            assert set(reps) == {classes.representative(u) for u in elements}
+            assert set(reps) == {_class_representative(classes, u) for u in elements}
             p, free = field.p, dim - classes.submodule.dim
             assert len(reps) == (p ** free - 1) // (p - 1) + 1
             assert sorted(classes.members(reps)) == elements
@@ -286,20 +298,22 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
             for u in elements:
                 want = module.colon(n_space, u)
                 # from the composed forms for any u, not only class representatives
-                assert classes._colon_space(u) == want
                 assert classes.colon(u) == want
+                assert classes.colon(_class_representative(classes, u)) == want
+            # every u of a class found its class's kernel: no new memo entry
+            assert len(module._colons) == len(groups)
 
 
 def _count_colon_calls(monkeypatch):
     """Count the colon spaces the class map computes (one kernel each)."""
     calls = [0]
-    original = ColonClasses._colon_space
+    original = ColonClasses.colon
 
     def counting(self, u):
         calls[0] += 1
         return original(self, u)
 
-    monkeypatch.setattr(ColonClasses, "_colon_space", counting)
+    monkeypatch.setattr(ColonClasses, "colon", counting)
     return calls
 
 

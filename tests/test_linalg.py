@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mathieuspaces.fields import GF, QQ
 from mathieuspaces.linalg import (
+    BoundedMemo,
     EnumerationCapExceeded,
     Subspace,
     enumerate_subspaces,
@@ -357,3 +359,29 @@ def test_subspace_elements_in_coefficient_order(p):
 def test_rational_subspace_elements_refused():
     with pytest.raises(ValueError):
         next(Subspace(QQ, 2, [(1, 2)]).elements())
+
+
+def test_bounded_memo_drops_the_oldest_first():
+    memo = BoundedMemo(3)
+    assert memo.put("a", 1) == 1
+    assert memo.put("b", None) is None
+    memo.put("c", 3)
+    # a stored None is a hit: no recomputation, no eviction
+    assert "b" in memo and memo.get("b", "miss") is None
+    memo.put("c", 4)  # overwriting a key evicts nothing
+    assert list(memo.items()) == [("a", 1), ("b", None), ("c", 4)]
+    memo.put("d", 5)
+    assert list(memo) == ["b", "c", "d"]
+    for k in range(10):
+        memo.put(k, k)
+        assert len(memo) == 3
+    assert list(memo) == [7, 8, 9]
+
+
+def test_only_bounded_memo_evicts_by_hand():
+    """Every oldest-out cache in the package goes through `BoundedMemo.put`."""
+    src = Path(inspect.getfile(BoundedMemo)).parent
+    found = {path.name: path.read_text().count("next(iter(")
+             for path in sorted(src.glob("*.py"))}
+    found["linalg.py"] -= inspect.getsource(BoundedMemo).count("next(iter(")
+    assert {name: n for name, n in found.items() if n} == {}

@@ -653,7 +653,7 @@ def test_warm_caches_respect_the_callers_cap():
 
 
 def test_verdict_memo_stays_at_its_bound(monkeypatch):
-    from mathieuspaces import mathieu
+    from mathieuspaces import algebras
 
     spaces = list(enumerate_subspaces(F2, 4))[::5]
 
@@ -663,7 +663,7 @@ def test_verdict_memo_stays_at_its_bound(monkeypatch):
                 for n in spaces for theta in ("left", "two")]
 
     expected = verdicts(matrix_algebra(2, 2))
-    monkeypatch.setattr(mathieu, "VERDICT_MEMO_SIZE", 4)
+    monkeypatch.setattr(algebras, "VERDICT_MEMO_SIZE", 4)
     algebra = matrix_algebra(2, 2)
     assert verdicts(algebra) == expected
     assert len(algebra._memo) == 4
@@ -691,8 +691,7 @@ def test_point_query_class_memo_stays_at_its_bound(monkeypatch):
     assert any(expected) and not all(expected)
     stable = sigma(module, n_space, "left")
     assert [u in stable for u in us] == expected
-    classes = module.colon_classes(n_space)
-    assert len(classes._by_class) == 8 and len(module._colons) <= 8
+    assert len(module._colons) == 8
     assert [u in stable for u in us] == expected
 
 
@@ -706,9 +705,8 @@ def test_element_index_survives_point_query_eviction(monkeypatch):
     for n_space in list(enumerate_subspaces(F3, 4))[::40]:
         expected = [u for u in elements
                     if is_theta_ideal(algebra, module.colon(n_space, u), "two")]
-        for u in elements:  # point queries fill and evict the class memo first
+        for u in elements:  # point queries fill and evict the kernel memo first
             module.colon_cached(n_space, u)
-        assert len(module.colon_classes(n_space)._by_class) <= 3
         assert list(sigma(module, n_space, "two")) == expected
         assert list(sigma(module, n_space, "two")) == expected
         assert len(module._colons) <= 3 and len(module._colon_classes) <= 3
