@@ -46,10 +46,10 @@ VERDICT_MEMO_SIZE = 4096
 
 
 def normalize_theta(theta: str) -> str:
-    try:
-        return _THETA_ALIASES[theta]
-    except KeyError:
-        raise ValueError(f"unknown side selector {theta!r}; use one of {THETAS}") from None
+    hit = _THETA_ALIASES.get(theta) if isinstance(theta, str) else None
+    if hit is None:
+        raise ValueError(f"unknown side selector {theta!r}; use one of {THETAS}")
+    return hit
 
 
 class AlgebraAxiomError(ValueError):
@@ -363,8 +363,14 @@ def _as_field(p_or_field) -> Field:
     return GF(p_or_field)
 
 
+def _check_size(n: int, what: str) -> None:
+    if n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n}")
+
+
 def matrix_algebra(n: int, p_or_field) -> Algebra:
     """n x n matrices; basis is the matrix units in row-major order."""
+    _check_size(n, "matrix size")
     field = _as_field(p_or_field)
     dim = n * n
     one, zero = field.one, field.zero
@@ -387,6 +393,7 @@ def matrix_algebra(n: int, p_or_field) -> Algebra:
 
 def product_algebra(length: int, p_or_field) -> Algebra:
     """K^length with component-wise product."""
+    _check_size(length, "number of components")
     field = _as_field(p_or_field)
     one, zero = field.one, field.zero
     structure = [[[one if i == j and k == i else zero for k in range(length)]
@@ -397,6 +404,7 @@ def product_algebra(length: int, p_or_field) -> Algebra:
 
 def truncated_poly(k: int, p_or_field) -> Algebra:
     """K[x]/(x^k); basis 1, x, ..., x^(k-1)."""
+    _check_size(k, "truncation exponent")
     field = _as_field(p_or_field)
     one, zero = field.one, field.zero
     structure = [[[one if i + j == m else zero for m in range(k)]
@@ -407,6 +415,7 @@ def truncated_poly(k: int, p_or_field) -> Algebra:
 
 def upper_triangular(n: int, p_or_field) -> Algebra:
     """Upper triangular n x n matrices; basis E_ij for i <= j."""
+    _check_size(n, "matrix size")
     field = _as_field(p_or_field)
     one, zero = field.one, field.zero
     positions = [(i, j) for i in range(n) for j in range(i, n)]

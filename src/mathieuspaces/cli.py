@@ -234,7 +234,7 @@ def cmd_omega(args):
     spec = args.field
     if isinstance(spec, str) and spec.isdigit():
         spec = int(spec)
-    field = parse_field(spec) if spec else QQ
+    field = parse_field(spec) if spec is not None else QQ
     weights = parse_vector(field, json.loads(args.alpha), "--alpha")
     result = omega_member(weights, field)
     _emit(args, {"result": result, "support": list(support(weights))}, [str(result)])
@@ -317,112 +317,98 @@ def _add_common(sub, theta=False, cap=True, module=False, method=False):
                          help="Mathieu decider: idempotent criterion or power scan")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One `add_argument` call, kept until a parser is built."""
+    return flags, options
+
+
+_SUBSPACE = _arg("--subspace", required=True)
+_PREDICATE = _arg("predicate", choices=("member", "sigma", "tau"))
+_CONFIG = _arg("--config", required=True)
+_POLY = _arg("--poly", required=True)
+
+# verb -> (help, handler, its own arguments, its _add_common flags), in the
+# order `mathieuspaces --help` lists them.
+VERBS = {
+    "gen": ("emit builder algebras/modules as JSON", cmd_gen, (
+        _arg("builder", choices=(*BUILDERS, "opposite", "quotient",
+                                 "natural-module", "column-module")),
+        _arg("--n", type=int, help="matrix size"),
+        _arg("--l", type=int, help="number of components"),
+        _arg("--k", type=int, help="truncation exponent"),
+        _arg("--p", type=int, help="a prime; omitted means Q"),
+        _arg("--algebra", help="input algebra JSON (opposite/quotient/modules)"),
+        _arg("--ideal", help="two-sided ideal JSON (quotient)"),
+    ), {"cap": False}),
+    "is-ideal": ("test the one/two-sided ideal property", cmd_is_ideal,
+                 (_arg("--algebra", required=True), _SUBSPACE),
+                 {"theta": True, "cap": False}),
+    "is-mathieu": ("decide the Mathieu property", cmd_is_mathieu, (
+        _SUBSPACE,
+        _arg("--wrt", help="module element as a JSON array (with --module)"),
+    ), {"theta": True, "module": True, "method": True}),
+    "sigma": ("stable elements of a subspace", cmd_sigma, (_SUBSPACE,),
+              {"theta": True, "module": True}),
+    "tau": ("quasi-stable elements of a subspace", cmd_tau, (_SUBSPACE,),
+            {"theta": True, "module": True, "method": True}),
+    "max-submodule": ("largest submodule inside a subspace", cmd_max_submodule,
+                      (_SUBSPACE,), {"module": True, "cap": False}),
+    "radical": ("elements whose power cycle stays inside", cmd_radical,
+                (_arg("--algebra", required=True), _SUBSPACE), {}),
+    "quasi-stable": ("exhaustive quasi-stability test", cmd_quasi_stable, (
+        _arg("--stable", action="store_true",
+             help="test stability (ideals) instead of quasi-stability"),
+    ), {"theta": True, "module": True, "method": True}),
+    "omega": ("subset-sum weight criterion", cmd_omega, (
+        _arg("--alpha", required=True, help="weights as a JSON array"),
+        _arg("--field", help='"Q" or a prime, default Q'),
+    ), {"cap": False}),
+    "nba": ("weighted-evaluation subspace predicates", cmd_nba,
+            (_PREDICATE, _CONFIG, _POLY), {"cap": False}),
+    "nq": ("integration subspace predicates", cmd_nq,
+           (_PREDICATE, _CONFIG, _POLY), {"cap": False}),
+    "integral": ("exact weighted integral of a polynomial", cmd_integral,
+                 (_CONFIG, _POLY), {"cap": False}),
+    "verify-paper": ("run the full verification battery of known identities",
+                     cmd_verify_paper, (
+        _arg("--profile", default="default", help='"default" or a profile JSON path'),
+        _arg("--jobs", type=int, default=1),
+        _arg("--no-timing", action="store_true",
+             help="omit runtime fields for byte-stable output"),
+    ), {}),
+    "verify-witness": ("re-validate an embedded failure witness", cmd_verify_witness,
+                       (_arg("--input", required=True),), {"cap": False}),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with the subparser of `verb` alone, or of every verb.
+
+    A parser with one subparser parses that verb's argv exactly as the full
+    parser does; only the top-level usage line differs (see `main`).
+    """
     parser = argparse.ArgumentParser(
         prog="mathieuspaces",
         description="Exact deciders for Mathieu subspaces of finite-dimensional "
                     "algebras and their modules")
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    gen = subs.add_parser("gen", help="emit builder algebras/modules as JSON")
-    gen.add_argument("builder", choices=(*BUILDERS, "opposite", "quotient",
-                                         "natural-module", "column-module"))
-    gen.add_argument("--n", type=int, help="matrix size")
-    gen.add_argument("--l", type=int, help="number of components")
-    gen.add_argument("--k", type=int, help="truncation exponent")
-    gen.add_argument("--p", type=int, help="a prime; omitted means Q")
-    gen.add_argument("--algebra", help="input algebra JSON (opposite/quotient/modules)")
-    gen.add_argument("--ideal", help="two-sided ideal JSON (quotient)")
-    _add_common(gen, cap=False)
-    gen.set_defaults(fn=cmd_gen)
-
-    sub = subs.add_parser("is-ideal", help="test the one/two-sided ideal property")
-    sub.add_argument("--algebra", required=True)
-    sub.add_argument("--subspace", required=True)
-    _add_common(sub, theta=True, cap=False)
-    sub.set_defaults(fn=cmd_is_ideal)
-
-    sub = subs.add_parser("is-mathieu", help="decide the Mathieu property")
-    sub.add_argument("--subspace", required=True)
-    sub.add_argument("--wrt", help="module element as a JSON array (with --module)")
-    _add_common(sub, theta=True, module=True, method=True)
-    sub.set_defaults(fn=cmd_is_mathieu)
-
-    sub = subs.add_parser("sigma", help="stable elements of a subspace")
-    sub.add_argument("--subspace", required=True)
-    _add_common(sub, theta=True, module=True)
-    sub.set_defaults(fn=cmd_sigma)
-
-    sub = subs.add_parser("tau", help="quasi-stable elements of a subspace")
-    sub.add_argument("--subspace", required=True)
-    _add_common(sub, theta=True, module=True, method=True)
-    sub.set_defaults(fn=cmd_tau)
-
-    sub = subs.add_parser("max-submodule", help="largest submodule inside a subspace")
-    sub.add_argument("--subspace", required=True)
-    _add_common(sub, module=True, cap=False)
-    sub.set_defaults(fn=cmd_max_submodule)
-
-    sub = subs.add_parser("radical", help="elements whose power cycle stays inside")
-    sub.add_argument("--algebra", required=True)
-    sub.add_argument("--subspace", required=True)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_radical)
-
-    sub = subs.add_parser("quasi-stable", help="exhaustive quasi-stability test")
-    sub.add_argument("--stable", action="store_true",
-                     help="test stability (ideals) instead of quasi-stability")
-    _add_common(sub, theta=True, module=True, method=True)
-    sub.set_defaults(fn=cmd_quasi_stable)
-
-    sub = subs.add_parser("omega", help="subset-sum weight criterion")
-    sub.add_argument("--alpha", required=True, help="weights as a JSON array")
-    sub.add_argument("--field", help='"Q" or a prime, default Q')
-    _add_common(sub, cap=False)
-    sub.set_defaults(fn=cmd_omega)
-
-    sub = subs.add_parser("nba", help="weighted-evaluation subspace predicates")
-    sub.add_argument("predicate", choices=("member", "sigma", "tau"))
-    sub.add_argument("--config", required=True)
-    sub.add_argument("--poly", required=True)
-    _add_common(sub, cap=False)
-    sub.set_defaults(fn=cmd_nba)
-
-    sub = subs.add_parser("nq", help="integration subspace predicates")
-    sub.add_argument("predicate", choices=("member", "sigma", "tau"))
-    sub.add_argument("--config", required=True)
-    sub.add_argument("--poly", required=True)
-    _add_common(sub, cap=False)
-    sub.set_defaults(fn=cmd_nq)
-
-    sub = subs.add_parser("integral", help="exact weighted integral of a polynomial")
-    sub.add_argument("--config", required=True)
-    sub.add_argument("--poly", required=True)
-    _add_common(sub, cap=False)
-    sub.set_defaults(fn=cmd_integral)
-
-    sub = subs.add_parser("verify-paper",
-                          help="run the full verification battery of known identities")
-    sub.add_argument("--profile", default="default",
-                     help='"default" or a profile JSON path')
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--no-timing", action="store_true",
-                     help="omit runtime fields for byte-stable output")
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_verify_paper)
-
-    sub = subs.add_parser("verify-witness",
-                          help="re-validate an embedded failure witness")
-    sub.add_argument("--input", required=True)
-    _add_common(sub, cap=False)
-    sub.set_defaults(fn=cmd_verify_witness)
-
+    for name in VERBS if verb is None else (verb,):
+        help_text, fn, arguments, common = VERBS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        _add_common(sub, **common)
+        sub.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args, extra = build_parser(verb).parse_known_args(argv)
+    if extra:  # the full parser words the error: its usage line lists every verb
+        build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # schema, cap and JSON errors are ValueErrors

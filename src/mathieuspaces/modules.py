@@ -35,6 +35,11 @@ class ModuleAxiomError(ValueError):
     """Action matrices violate a module axiom; the message names it."""
 
 
+def _check_length(v: Sequence, dim: int, what: str) -> None:
+    if len(v) != dim:
+        raise ValueError(f"{what} has {len(v)} coordinates, expected {dim}")
+
+
 class ModuleSpace:
     def __init__(self, algebra: Algebra, actions: Sequence, name: str | None = None,
                  check: bool = True):
@@ -78,6 +83,7 @@ class ModuleSpace:
 
     def action_matrix(self, a: Sequence) -> tuple:
         """Matrix of the action of an algebra element, sum_i a_i A_i."""
+        _check_length(a, self.algebra.dim, "algebra element")
         d = self.dim
         flat = mat_vec(self.field, self._action_entries, a)
         return tuple(flat[r * d:(r + 1) * d] for r in range(d))
@@ -96,6 +102,7 @@ class ModuleSpace:
     def colon(self, n_space: Subspace, u: Sequence) -> Subspace:
         """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra."""
         self._check_subspace(n_space)
+        _check_length(u, self.dim, "module element")
         resid = residual_matrix(n_space)
         if not resid:
             return Subspace.full(self.field, self.algebra.dim)
@@ -114,6 +121,7 @@ class ModuleSpace:
     def colon_cached(self, n_space: Subspace, u: Sequence) -> Subspace:
         """(N:u) through the class map of N, one kernel per class of u (see
         ColonClasses)."""
+        _check_length(u, self.dim, "module element")
         return self.colon_classes(n_space).colon(u)
 
     def inverse_image(self, a: Sequence, n_space: Subspace) -> Subspace:

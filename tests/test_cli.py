@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 
 import pytest
 
@@ -6,10 +8,11 @@ from mathieuspaces.algebras import (
     THETAS,
     ideal_violation_witness,
     matrix_algebra,
+    normalize_theta,
     truncated_poly,
     upper_triangular,
 )
-from mathieuspaces.cli import main
+from mathieuspaces.cli import VERBS, build_parser, main
 from mathieuspaces.fields import GF, QQ
 from mathieuspaces.linalg import enumerate_subspaces
 from mathieuspaces.mathieu import is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent
@@ -25,7 +28,7 @@ from mathieuspaces.serialize import (
     witness_from_json,
     witness_to_json,
 )
-from mathieuspaces.modules import natural_module
+from mathieuspaces.modules import column_module, natural_module
 from mathieuspaces.polyspaces import Poly, omega_member
 from mathieuspaces.verify import CheckEntry, Profile, VerificationReport, run_suite
 
@@ -496,6 +499,12 @@ def test_witness_with_a_non_integer_power_exits_two(tmp_path, capsys):
     (["truncated", "--p", "2"], "gen truncated needs --k"),
     (["upper", "--p", "2"], "gen upper needs --n"),
     (["opposite"], "gen opposite needs --algebra"),
+    (["matrix", "--n", "0", "--p", "3"], "matrix size must be a positive integer, got 0"),
+    (["matrix", "--n", "-2", "--p", "3"], "matrix size must be a positive integer, got -2"),
+    (["product", "--l", "0", "--p", "2"], "number of components must be a positive integer"),
+    (["upper", "--n", "0", "--p", "2"], "matrix size must be a positive integer, got 0"),
+    (["truncated", "--k", "0", "--p", "2"], "truncation exponent must be a positive integer"),
+    (["truncated", "--k", "0"], "truncation exponent must be a positive integer"),
 ])
 def test_gen_without_its_size_argument_exits_two(capsys, argv, message):
     code, out, err = run_cli(capsys, "gen", *argv)
@@ -616,3 +625,161 @@ def test_duplicate_poly_terms_are_summed(tmp_path, capsys):
         {"exp": [1], "coef": "1"}, {"exp": [1], "coef": "-1"}]}))
     code, out, _ = run_cli(capsys, "nba", "member", "--config", str(cfg), "--poly", str(zero))
     assert code == 0 and json.loads(out)["result"] is True
+
+
+# -- one verb, one parser ------------------------------------------------------------
+
+
+def _subparsers(parser):
+    """verb -> subparser, for the verbs `parser` was built with."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_a_lone_verb_parser_has_the_full_parsers_help(verb):
+    lone = _subparsers(build_parser(verb))
+    assert list(lone) == [verb]
+    assert lone[verb].format_help() == _subparsers(build_parser())[verb].format_help()
+
+
+# One argv per verb that parses; its last two tokens are a required option and
+# its value, so dropping them leaves the option out.
+_VALID = {
+    "gen": ["gen", "matrix", "--p", "3", "--n", "2"],
+    "is-ideal": ["is-ideal", "--algebra", "m.json", "--subspace", "h.json"],
+    "is-mathieu": ["is-mathieu", "--algebra", "m.json", "--subspace", "h.json"],
+    "sigma": ["sigma", "--module", "col.json", "--subspace", "zero.json"],
+    "tau": ["tau", "--module", "col.json", "--subspace", "zero.json"],
+    "max-submodule": ["max-submodule", "--module", "col.json", "--subspace", "zero.json"],
+    "radical": ["radical", "--algebra", "m.json", "--subspace", "h.json"],
+    "quasi-stable": ["quasi-stable", "--theta", "left", "--algebra", "m.json"],
+    "omega": ["omega", "--alpha", "[1, -1]"],
+    "nba": ["nba", "tau", "--config", "cfg.json", "--poly", "one.json"],
+    "nq": ["nq", "tau", "--config", "icfg.json", "--poly", "one.json"],
+    "integral": ["integral", "--config", "icfg.json", "--poly", "one.json"],
+    "verify-paper": ["verify-paper", "--no-timing", "--profile", "prof.json"],
+    "verify-witness": ["verify-witness", "--input", "w.json"],
+}
+# verify-paper has no required option, so it leaves out the value of one
+_MISSING = {"verify-paper": ["verify-paper", "--profile"]}
+# an int option of the verb; --cap is an unrecognized argument where the verb has none
+_INT_OPTION = {"gen": "--n", "verify-paper": "--jobs"}
+
+
+def _write_corpus_files(directory):
+    m22 = matrix_algebra(2, 2)
+    h = {"ambient": 4, "basis": [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]}
+    one = {"vars": 1, "terms": [{"exp": [0], "coef": 1}]}
+    files = {
+        "m.json": algebra_to_json(m22),
+        "col.json": module_to_json(column_module(m22, 2)),
+        "h.json": h,
+        "zero.json": {"ambient": 2, "basis": []},
+        "cfg.json": {"field": "Q", "points": [[0], [1]], "alpha": [1, 1]},
+        "icfg.json": {"a": "0", "b": "1", "q": one},
+        "one.json": one,
+        "prof.json": {"primes": [2], "subspace_samples": 5, "pair_samples": 12,
+                      "hom_samples": 4, "eval_configs": 4, "integral_samples": 5},
+        "w.json": {"algebra_builder": ["matrix", 2, 2], "theta": "two", "subspace": h,
+                   "witness": {"kind": "mathieu", "a": [1, 0, 0, 1], "b": [0, 0, 1, 0],
+                               "c": [0, 0, 0, 1], "power": 1}},
+    }
+    for name, obj in files.items():
+        (directory / name).write_text(json.dumps(obj))
+
+
+def _main_with_the_full_parser(argv):
+    """What `main` did when every call built the parser of every verb."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(capsys, run, argv):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+_CORPUS = [[], ["--help"], ["frobnicate"]] + [
+    argv for verb, valid in _VALID.items() for argv in (
+        valid,
+        _MISSING.get(verb, valid[:-2]),
+        valid + ["--format", "xml"],
+        valid + [_INT_OPTION.get(verb, "--cap"), "x"],
+        valid + ["--bogus"],
+    )]
+
+
+@pytest.mark.parametrize("argv", _CORPUS, ids=" ".join)
+def test_main_answers_as_the_full_parser_does(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    _write_corpus_files(tmp_path)
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _main_with_the_full_parser, argv)
+
+
+def test_each_call_builds_the_parser_of_its_verb_alone(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    for _ in range(2):  # a parser kept between calls would build none the second time
+        built.clear()
+        assert main(["omega", "--alpha", "[1, 2]"]) == 0
+        assert built == ["omega"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built == list(VERBS)
+    usage = capsys.readouterr().out
+    assert all(verb in usage for verb in VERBS)
+
+
+@pytest.mark.parametrize("theta", [["left"], {"side": "left"}, 2])
+def test_a_non_string_side_selector_exits_two(tmp_path, capsys, theta):
+    with pytest.raises(ValueError, match="unknown side selector"):
+        normalize_theta(theta)
+    _write_corpus_files(tmp_path)
+    witness = json.loads((tmp_path / "w.json").read_text())
+    witness["theta"] = theta
+    (tmp_path / "w.json").write_text(json.dumps(witness))
+    code, out, err = run_cli(capsys, "verify-witness", "--input", str(tmp_path / "w.json"))
+    assert code == 2 and out == ""
+    assert f"unknown side selector {theta!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("u", [(1,), (1, 0, 0)])
+def test_a_module_element_of_the_wrong_length_is_refused(tmp_path, capsys, u):
+    module = column_module(matrix_algebra(2, 2), 2)
+    zero = subspace_from_json(module.field, {"ambient": 2, "basis": []})
+    message = f"module element has {len(u)} coordinates, expected 2"
+    for colon in (module.colon, module.colon_cached):
+        with pytest.raises(ValueError, match=message):
+            colon(zero, u)
+    with pytest.raises(ValueError, match="algebra element has 3 coordinates, expected 4"):
+        module.action_matrix((1, 0, 0))
+    _write_corpus_files(tmp_path)
+    code, out, err = run_cli(capsys, "is-mathieu", "--module", str(tmp_path / "col.json"),
+                             "--subspace", str(tmp_path / "zero.json"),
+                             "--wrt", json.dumps(list(u)))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_omega_field_zero_is_not_the_rationals(capsys):
+    code, out, err = run_cli(capsys, "omega", "--alpha", "[1, -1]", "--field", "0")
+    assert code == 2 and out == ""
+    assert "field order must be prime, got 0" in err
