@@ -28,7 +28,7 @@ from .linalg import (
 
 THETAS = ("left", "right", "pre", "two")
 
-_THETA_ALIASES = {
+THETA_ALIASES = {
     "left": "left",
     "right": "right",
     "pre": "pre",
@@ -46,7 +46,7 @@ VERDICT_MEMO_SIZE = 4096
 
 
 def normalize_theta(theta: str) -> str:
-    hit = _THETA_ALIASES.get(theta) if isinstance(theta, str) else None
+    hit = THETA_ALIASES.get(theta) if isinstance(theta, str) else None
     if hit is None:
         raise ValueError(f"unknown side selector {theta!r}; use one of {THETAS}")
     return hit
@@ -313,13 +313,16 @@ class Algebra:
 
     def radical_of_subspace(self, j: Subspace, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         """All a whose whole power cycle lies in J (tail membership irrelevant)."""
-        if j.ambient_dim != self.dim or j.field != self.field:
-            raise ValueError("subspace does not live in this algebra")
+        self._check_subspace(j)
         out = []
         for a in self.elements(cap):
             if self.power_trajectory(a).cycle_in(j):
                 out.append(a)
         return tuple(out)
+
+    def _check_subspace(self, j: Subspace):
+        if j.ambient_dim != self.dim or j.field != self.field:
+            raise ValueError("subspace does not live in this algebra")
 
     def __repr__(self):
         return f"Algebra({self.name})"
@@ -329,6 +332,7 @@ def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict |
     """A concrete (element of J, basis multiplier) proof that J is not a
     theta-ideal, or None when it is one."""
     theta = normalize_theta(theta)
+    algebra._check_subspace(j)
     if j.is_full():
         return None
     basis = algebra._basis
@@ -475,8 +479,6 @@ def quotient_algebra(a: Algebra, i_space: Subspace):
     Quotient coordinates are the non-pivot coordinates of the ideal's
     canonical basis, so the projection is a plain matrix.
     """
-    if i_space.ambient_dim != a.dim or i_space.field != a.field:
-        raise ValueError("subspace does not live in this algebra")
     if ideal_violation_witness(a, i_space, "two") is not None:
         raise ValueError("quotient requires a two-sided ideal")
     field = a.field

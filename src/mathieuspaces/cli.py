@@ -13,15 +13,14 @@ import sys
 
 from .algebras import (
     BUILDERS,
+    THETA_ALIASES,
     builder_spec_to_algebra,
-    normalize_theta,
     opposite,
     quotient_algebra,
 )
 from .fields import QQ
 from .linalg import DEFAULT_ELEMENT_CAP
 from .mathieu import (
-    PRE_NOTE,
     decide,
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
@@ -163,8 +162,8 @@ def cmd_sigma(args, which="sigma"):
     else:
         out = tau(module, n, args.theta, args.cap, method=args.method)
     payload = {"result": out.to_json()}
-    if normalize_theta(args.theta) == "pre":
-        payload["note"] = PRE_NOTE
+    if out.note:  # sigma's pre convention; tau takes pre as "left and right"
+        payload["note"] = out.note
     text = ["capped; use membership queries via the library"] if not out.is_explicit \
         else [f"{len(out.members)} elements"]
     _emit(args, payload, text)
@@ -303,9 +302,7 @@ def _add_common(sub, theta=False, cap=True, module=False, method=False):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     if theta:
-        sub.add_argument("--theta", default="two",
-                         choices=("left", "right", "pre", "two",
-                                  "pre-two-sided", "two-sided"))
+        sub.add_argument("--theta", default="two", choices=tuple(THETA_ALIASES))
     if cap:
         sub.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
                          help="enumeration cap override")

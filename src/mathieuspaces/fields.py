@@ -85,9 +85,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- validation / serialization ------------------------------------------
 
     def check_scalar(self, a):

@@ -9,6 +9,7 @@ the residual matrix (codim of them); over Q it is a single reduction pass.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from operator import mul as _mul
 from typing import Iterator, Sequence
 
@@ -52,39 +53,19 @@ def zero_vector(field: Field, n: int) -> tuple:
 
 def mat_vec(field: Field, rows: Sequence[Sequence], v: Sequence) -> tuple:
     p = field.p
-    if p is not None:
-        return tuple(sum(map(_mul, row, v)) % p for row in rows)
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for row in rows:
-        acc = zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+    if p is None:
+        zero = field.zero
+        return tuple(sum(map(_mul, row, v), zero) for row in rows)
+    return tuple(sum(map(_mul, row, v)) % p for row in rows)
 
 
 def mat_mul(field: Field, a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     p = field.p
     bt = list(zip(*b)) if b else []
-    if p is not None:
-        return tuple(tuple(sum(map(_mul, row, col)) % p for col in bt) for row in a)
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for row in a:
-        out.append(tuple(
-            _dot(add, mul, zero, row, col) for col in bt
-        ))
-    return tuple(out)
-
-
-def _dot(add, mul, zero, u, v):
-    acc = zero
-    for x, y in zip(u, v):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
+    if p is None:
+        zero = field.zero
+        return tuple(tuple(sum(map(_mul, row, col), zero) for col in bt) for row in a)
+    return tuple(tuple(sum(map(_mul, row, col)) % p for col in bt) for row in a)
 
 
 def identity_matrix(field: Field, n: int) -> tuple:
@@ -95,41 +76,17 @@ def identity_matrix(field: Field, n: int) -> tuple:
 def rref_rows(field: Field, rows: Sequence[Sequence]):
     """Gauss-Jordan to canonical reduced row-echelon form.
 
-    Returns (canonical nonzero rows, pivot column list).  Over GF(p) the rows
-    are plain ints, reduced once per entry and step; any int is accepted.
+    Returns (canonical nonzero rows, pivot column list).  One loop serves both
+    field kinds, and the field enters at three points: an entry is read as the
+    residue `x % p` or as `Fraction(x)`, the pivot row is scaled by the inverse
+    of its lead, and a row update is reduced `% p` over GF(p) only.  Any int is
+    accepted; over Q every returned entry is a `Fraction`.
     """
-    if field.p is not None:
-        return _rref_mod(rows, field.p)
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    sub, mul, div = field.sub, field.mul, field.div
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.inv(work[r][c])
-        if inv != field.one:
-            work[r] = [mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [sub(x, mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
-
-
-def _rref_mod(rows: Sequence[Sequence], p: int):
-    work = [[x % p for x in row] for row in rows]
+    p = field.p
+    if p is None:
+        work = [[Fraction(x) for x in row] for row in rows]
+    else:
+        work = [[x % p for x in row] for row in rows]
     nrows = len(work)
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -142,14 +99,21 @@ def _rref_mod(rows: Sequence[Sequence], p: int):
             continue
         prow = work[i]
         work[i] = work[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], p - 2, p)
-            prow = [x * inv % p for x in prow]
+        lead = prow[c]
+        if lead != 1:
+            if p is None:
+                prow = [x / lead for x in prow]
+            else:
+                inv = pow(lead, p - 2, p)
+                prow = [x * inv % p for x in prow]
         work[r] = prow
         for i in range(nrows):
             f = work[i][c]
             if f and i != r:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], prow)]
+                if p is None:
+                    work[i] = [x - f * y for x, y in zip(work[i], prow)]
+                else:
+                    work[i] = [(x - f * y) % p for x, y in zip(work[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -207,23 +171,17 @@ class Subspace:
         """Residual of v after subtracting its projection on the basis."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        p = self.field.p
-        if p is not None:
-            # The basis is reduced, so the coefficient of row i is v[pivot_i]:
-            # subtract every multiple at once and reduce each entry once.
-            w = list(v)
-            for row, piv in zip(self.basis, self.pivots):
-                f = v[piv]
-                if f:
-                    w = [x - f * y for x, y in zip(w, row)]
-            return tuple(x % p for x in w)
-        sub, mul = self.field.sub, self.field.mul
+        # The basis is reduced, so the coefficient of row i is v[pivot_i]:
+        # subtract every multiple at once, and over GF(p) reduce each entry once.
         w = list(v)
         for row, piv in zip(self.basis, self.pivots):
-            f = w[piv]
+            f = v[piv]
             if f:
-                w = [sub(x, mul(f, y)) for x, y in zip(w, row)]
-        return tuple(w)
+                w = [x - f * y for x, y in zip(w, row)]
+        p = self.field.p
+        if p is None:
+            return tuple(w)
+        return tuple(x % p for x in w)
 
     def contains(self, v: Sequence) -> bool:
         p = self.field.p
@@ -310,12 +268,9 @@ def solve_right_kernel(field: Field, rows: Sequence[Sequence], ncols: int | None
 
 
 def _span(field: Field, n: int, rows: Sequence[Sequence]) -> Subspace:
-    """The span of rows of field scalars computed in this module.  Over GF(p)
-    they are ints, whose rref is canonical without `Subspace.__init__`'s checks."""
-    if field.p is None:
-        return Subspace(field, n, rows)
-    basis, pivots = rref_rows(field, rows)
-    return Subspace._from_canonical(field, n, basis, pivots)
+    """The span of rows of field scalars computed in this module, whose rref
+    is canonical without `Subspace.__init__`'s checks."""
+    return Subspace._from_canonical(field, n, *rref_rows(field, rows))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

@@ -110,8 +110,7 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     """
     theta = normalize_theta(theta)
     count = algebra.element_count(cap)
-    if j.ambient_dim != algebra.dim or j.field != algebra.field:
-        raise ValueError("subspace does not live in this algebra")
+    algebra._check_subspace(j)
     if j.is_full():
         return MathieuVerdict(True)
     table = algebra.mult_table()
@@ -224,8 +223,7 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     """
     theta = normalize_theta(theta)
     algebra.element_count(cap)
-    if j.ambient_dim != algebra.dim or j.field != algebra.field:
-        raise ValueError("subspace does not live in this algebra")
+    algebra._check_subspace(j)
     if j.is_full():
         return MathieuVerdict(True)
     basis = algebra._basis

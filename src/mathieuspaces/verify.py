@@ -87,15 +87,30 @@ class Profile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Profile":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
+        """A profile from a JSON object: `primes` and `matrix_sizes` are arrays
+        of ints, every other key is an int, and every one but `seed` is a count,
+        which must not be negative."""
+        if not isinstance(obj, dict):
+            raise ValueError("a profile must be a JSON object")
+        bad = set(obj) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown profile keys: {sorted(bad)}")
-        kwargs = dict(obj)
-        for key in ("primes", "matrix_sizes"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {}
+        for key, value in obj.items():
+            if key in ("primes", "matrix_sizes"):
+                if not isinstance(value, list) or not all(map(_is_int, value)):
+                    raise ValueError(f"profile key {key!r} must be an array of ints")
+                value = tuple(value)
+            elif not _is_int(value):
+                raise ValueError(f"profile key {key!r} must be an int")
+            elif value < 0 and key != "seed":
+                raise ValueError(f"profile key {key!r} must not be negative")
+            kwargs[key] = value
         return cls(**kwargs)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -699,15 +714,10 @@ def check_functorial_identities(profile: Profile) -> list:
             basis = module_hom_basis(source, target)
             if not basis:
                 continue
-            coeffs = [rng.randrange(source.field.p) for _ in basis]
-            rows = [[source.field.zero] * source.dim for _ in range(target.dim)]
-            for c, mat in zip(coeffs, basis):
-                if not c:
-                    continue
-                for r in range(target.dim):
-                    for s in range(source.dim):
-                        rows[r][s] = source.field.add(
-                            rows[r][s], source.field.mul(c, mat[r][s]))
+            p = source.field.p
+            coeffs = [rng.randrange(p) for _ in basis]
+            rows = [[sum(c * mat[r][s] for c, mat in zip(coeffs, basis)) % p
+                     for s in range(source.dim)] for r in range(target.dim)]
             phi = ModuleHom(source, target, rows)
             h_space = _random_subspace(rng, target.field, target.dim)
             pulled = phi.pullback_subspace(h_space)

@@ -1,20 +1,25 @@
 import argparse
+import ast
+import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from mathieuspaces.algebras import (
+    THETA_ALIASES,
     THETAS,
     ideal_violation_witness,
     matrix_algebra,
     normalize_theta,
+    quotient_algebra,
     truncated_poly,
     upper_triangular,
 )
 from mathieuspaces.cli import VERBS, build_parser, main
 from mathieuspaces.fields import GF, QQ
-from mathieuspaces.linalg import enumerate_subspaces
+from mathieuspaces.linalg import Subspace, enumerate_subspaces
 from mathieuspaces.mathieu import is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent
 from mathieuspaces.serialize import (
     SchemaError,
@@ -166,6 +171,11 @@ def test_sigma_tau_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["result"]["members"] == [[0, 0]]
     assert "note" in payload
+    # the note gives the ideal convention for pre; tau decides Mathieu-ness
+    code, out, _ = run_cli(capsys, "tau", "--module", str(mod_path),
+                           "--subspace", str(zero), "--theta", "pre")
+    assert code == 0
+    assert "note" not in json.loads(out)
 
 
 def test_quasi_stable_cli(tmp_path, capsys):
@@ -403,6 +413,96 @@ def test_unknown_profile_keys_are_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify-paper", "--profile", str(prof))
     assert code == 2
     assert "bogus_knob" in err
+
+
+@pytest.mark.parametrize("obj,named", [
+    ({"primes": 4}, "primes"),
+    ({"primes": [2, "3"]}, "primes"),
+    ({"matrix_sizes": [1.5]}, "matrix_sizes"),
+    ({"element_cap": "x"}, "element_cap"),
+    ({"seed": "abc"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"hom_samples": -1}, "hom_samples"),
+    ([1, 2], "JSON object"),
+])
+def test_malformed_profiles_are_usage_errors(tmp_path, capsys, obj, named):
+    prof = tmp_path / "prof.json"
+    prof.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "verify-paper", "--profile", str(prof))
+    assert code == 2
+    assert named in err
+    assert "Traceback" not in err
+
+
+def _perfbench_profile():
+    """The scaled profile of the benchmark's verify-paper workload, read from
+    its source as a literal."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "verify_paper.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PROFILE":
+            return ast.literal_eval(node.value)
+    raise AssertionError("no PROFILE in the verify-paper workload")
+
+
+def test_default_and_benchmark_profiles_load():
+    default = json.loads(json.dumps(dataclasses.asdict(Profile())))
+    assert Profile.from_json(default) == Profile()
+    scaled = _perfbench_profile()
+    assert Profile.from_json(json.loads(json.dumps(scaled))) == Profile(**scaled)
+    assert Profile.from_json({"seed": -5}).seed == -5
+
+
+@pytest.mark.parametrize("subspace", [
+    {"ambient": 99, "basis": []},
+    {"ambient": "4", "basis": []},
+    {"ambient": -3, "basis": []},
+])
+def test_is_ideal_refuses_a_subspace_outside_the_algebra(tmp_path, capsys, subspace):
+    alg_path = tmp_path / "m2f2.json"
+    run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+    sub_path = tmp_path / "j.json"
+    sub_path.write_text(json.dumps(subspace))
+    code, out, err = run_cli(capsys, "is-ideal", "--algebra", str(alg_path),
+                             "--subspace", str(sub_path))
+    assert (code, out) == (2, "")
+    assert "does not live in this algebra" in err
+    j = Subspace(GF(2), subspace["ambient"], [])
+    with pytest.raises(ValueError, match="does not live in this algebra"):
+        ideal_violation_witness(matrix_algebra(2, 2), j, "two")
+
+
+@pytest.mark.parametrize("check", [
+    lambda a, j: ideal_violation_witness(a, j, "left"),
+    lambda a, j: is_theta_mathieu_bruteforce(a, j, "two"),
+    lambda a, j: is_theta_mathieu_idempotent(a, j, "two"),
+    lambda a, j: a.radical_of_subspace(j),
+    lambda a, j: quotient_algebra(a, j),
+], ids=["ideal", "brute", "idem", "radical", "quotient"])
+def test_every_subspace_consumer_of_an_algebra_checks_where_it_lives(check):
+    algebra = matrix_algebra(2, 2)
+    for j in (Subspace(GF(2), 3, []), Subspace(GF(3), 4, []), Subspace(GF(2), -3, [])):
+        with pytest.raises(ValueError, match="does not live in this algebra"):
+            check(algebra, j)
+
+
+def test_deciders_over_q_refuse_the_field_before_the_subspace():
+    algebra = matrix_algebra(2, QQ)
+    for decide in (is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent):
+        with pytest.raises(ValueError, match="finite field"):
+            decide(algebra, Subspace(QQ, 3, []), "two")
+
+
+def test_theta_choices_are_the_alias_table(tmp_path, capsys):
+    alg_path = tmp_path / "m2f2.json"
+    run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+    sub_path = tmp_path / "zero.json"
+    sub_path.write_text(json.dumps({"ambient": 4, "basis": []}))
+    for theta in THETA_ALIASES:
+        code, out, _ = run_cli(capsys, "is-ideal", "--algebra", str(alg_path),
+                               "--subspace", str(sub_path), "--theta", theta)
+        assert code == 0 and json.loads(out)["result"] is True
+    help_text = _subparsers(build_parser("tau"))["tau"].format_help()
+    assert "twosided" in help_text
 
 
 def test_max_submodule_and_radical_cli(tmp_path, capsys):

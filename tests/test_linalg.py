@@ -16,6 +16,8 @@ from mathieuspaces.linalg import (
     enumerate_subspaces,
     enumerate_vectors,
     gaussian_binomial,
+    mat_mul,
+    mat_vec,
     preimage_subspace,
     rref,
     rref_rows,
@@ -244,25 +246,41 @@ def naive_intersect(field, u_basis, v_basis, n):
     return naive_rref(field, gens)[0]
 
 
+def _entries(field):
+    """Ints, most of them outside range(p), over GF(p); ints and Fractions over Q."""
+    if field.p is None:
+        return st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5))
+    return st.integers(-3 * field.p, 3 * field.p)
+
+
+def _canonical(field, row):
+    """Every entry a residue in range(p) over GF(p), or a Fraction over Q."""
+    if field.p is None:
+        return all(isinstance(x, Fraction) for x in row)
+    return all(x in range(field.p) for x in row)
+
+
 @st.composite
 def _int_matrix(draw):
-    """A prime, a width, and rows of ints, most of them outside range(p)."""
-    p = draw(st.sampled_from((2, 3, 5, 7)))
+    """A field (a small prime or Q), a width, and rows of `_entries`."""
+    field = draw(st.sampled_from((GF(2), GF(3), GF(5), GF(7), QQ)))
     ncols = draw(st.integers(1, 6))
-    entries = st.integers(-3 * p, 3 * p)
+    entries = _entries(field)
     rows = draw(st.lists(st.tuples(*[entries] * ncols), max_size=6))
-    return GF(p), ncols, rows
+    return field, ncols, rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(_int_matrix())
 def test_integer_rref_and_kernel_match_the_naive_gauss_jordan(case):
     field, ncols, rows = case
-    assert rref_rows(field, rows) == naive_rref(field, rows)
+    reduced = rref_rows(field, rows)
+    assert reduced == naive_rref(field, rows)
+    assert all(_canonical(field, row) for row in reduced[0])
     if rows:
         kernel = solve_right_kernel(field, rows, ncols)
         assert kernel.basis == tuple(naive_kernel(field, rows, ncols))
-        assert all(x in range(field.p) for row in kernel.basis for x in row)
+        assert all(_canonical(field, row) for row in kernel.basis)
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,7 +288,7 @@ def test_integer_rref_and_kernel_match_the_naive_gauss_jordan(case):
 def test_integer_reduce_and_intersect_match_the_naive_gauss_jordan(case, data):
     field, ncols, rows = case
     u = Subspace(field, ncols, rows)
-    entries = st.integers(-3 * field.p, 3 * field.p)
+    entries = _entries(field)
     other = data.draw(st.lists(st.tuples(*[entries] * ncols), max_size=6))
     v = Subspace(field, ncols, other)
     assert u.basis == tuple(naive_rref(field, rows)[0])
@@ -280,6 +298,25 @@ def test_integer_reduce_and_intersect_match_the_naive_gauss_jordan(case, data):
     assert u.contains(w) == (not any(residual))
     meet = subspace_intersect(u, v)
     assert meet.basis == tuple(naive_intersect(field, u.basis, v.basis, ncols))
+    assert all(_canonical(field, row) for row in meet.basis)
+
+
+def test_rational_routines_return_fractions_for_int_input():
+    """Over Q an int entry is read as a Fraction, so no int leaks into a
+    result, and no int division turns into a float."""
+    def fractions_only(rows):
+        return all(isinstance(x, Fraction) for row in rows for x in row)
+
+    basis, pivots = rref_rows(QQ, [(1, 2), (2, 4)])
+    assert (basis, pivots) == ([(1, 2)], [0]) and fractions_only(basis)
+    kernel = solve_right_kernel(QQ, [(2, 1)], 2)
+    assert kernel.basis == ((1, -2),) and fractions_only(kernel.basis)
+    assert fractions_only([mat_vec(QQ, [(1, 2), ()], (3, 4))])
+    assert mat_vec(QQ, [(1, 2)], (3, 4)) == (11,)
+    product = mat_mul(QQ, [(1, 2)], [(3,), (4,)])
+    assert product == ((11,),) and fractions_only(product)
+    residual = Subspace(QQ, 2, [(2, 1)]).reduce((1, 1))
+    assert residual == (0, Fraction(1, 2)) and fractions_only([residual])
 
 
 def naive_contains(field, basis, pivots, v):
