@@ -107,31 +107,51 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     change its first witness: an a outside J (a = a^1), a cycle element x
     whose multiplier scan already passed in this decision, and a product
     b*x already scanned for a smaller b.
+
+    The scan runs on element indices, with J as a bitmap.  Only products and
+    power trajectories depend on the algebra's kind: they are read from the
+    multiplication table when it has one, and computed one at a time
+    otherwise, so that a failing scan stops at the first escape.
     """
     theta = normalize_theta(theta)
     count = algebra.element_count(cap)
     algebra._check_subspace(j)
     if j.is_full():
         return MathieuVerdict(True)
-    table = algebra.mult_table()
-    if table is not None:
-        return _bruteforce_indexed(algebra, j, theta, count, table)
-    return _bruteforce_generic(algebra, j, theta, cap)
-
-
-def _bruteforce_indexed(algebra, j, theta, count, table):
-    mem = bytearray(count)
     index_of = algebra.index_of
+    mem = bytearray(count)
     for v in j.elements():
         mem[index_of(v)] = 1
+    table = algebra.mult_table()
+    if table is not None:
+        trajectory = algebra.trajectory_indices
+        right_products = table.__getitem__
+
+        def left_products(x):
+            return [row[x] for row in table]
+    else:
+        elems = algebra.element_list(cap)
+        multiply = algebra.multiply
+
+        def trajectory(a_idx):
+            traj = algebra.power_trajectory(elems[a_idx])
+            return tuple(map(index_of, traj.tail)), tuple(map(index_of, traj.cycle))
+
+        def left_products(x):
+            x = elems[x]
+            return (index_of(multiply(b, x)) for b in elems)
+
+        def right_products(x):
+            x = elems[x]
+            return (index_of(multiply(x, c)) for c in elems)
+
     check_left = theta in ("left", "pre")
     check_right = theta in ("right", "pre")
-    rng = range(count)
     passed = set()
-    for a_idx in rng:
+    for a_idx in range(count):
         if not mem[a_idx]:
             continue
-        tail, cycle = algebra.trajectory_indices(a_idx)
+        tail, cycle = trajectory(a_idx)
         if not all(mem[x] for x in tail) or not all(mem[x] for x in cycle):
             continue
         for pos, x in enumerate(cycle):
@@ -139,24 +159,21 @@ def _bruteforce_indexed(algebra, j, theta, count, table):
                 continue
             power = len(tail) + pos + 1
             if check_left:
-                for b in rng:
-                    if not mem[table[b][x]]:
+                for b, bx in enumerate(left_products(x)):
+                    if not mem[bx]:
                         return _indexed_witness(algebra, a_idx, power, b=b)
             if check_right:
-                row = table[x]
-                for c in rng:
-                    if not mem[row[c]]:
+                for c, xc in enumerate(right_products(x)):
+                    if not mem[xc]:
                         return _indexed_witness(algebra, a_idx, power, c=c)
             if theta == "two":
                 seen = set()
-                for b in rng:
-                    bx = table[b][x]
+                for b, bx in enumerate(left_products(x)):
                     if bx in seen:
                         continue
                     seen.add(bx)
-                    row = table[bx]
-                    for c in rng:
-                        if not mem[row[c]]:
+                    for c, bxc in enumerate(right_products(bx)):
+                        if not mem[bxc]:
                             return _indexed_witness(algebra, a_idx, power, b=b, c=c)
             passed.add(x)
     return MathieuVerdict(True)
@@ -171,46 +188,6 @@ def _indexed_witness(algebra, a_idx, power, b=None, c=None):
         "power": power,
     }
     return MathieuVerdict(False, witness)
-
-
-def _bruteforce_generic(algebra, j, theta, cap):
-    check_left = theta in ("left", "pre")
-    check_right = theta in ("right", "pre")
-    elems = algebra.element_list(cap)
-    passed = set()
-    for a in elems:
-        if not j.contains(a):
-            continue
-        traj = algebra.power_trajectory(a)
-        if not traj.all_powers_in(j):
-            continue
-        for pos, x in enumerate(traj.cycle):
-            if x in passed:
-                continue
-            power = len(traj.tail) + pos + 1
-            if check_left:
-                for b in elems:
-                    if not j.contains(algebra.multiply(b, x)):
-                        return MathieuVerdict(False, {
-                            "kind": "mathieu", "a": a, "b": b, "c": None, "power": power})
-            if check_right:
-                for c in elems:
-                    if not j.contains(algebra.multiply(x, c)):
-                        return MathieuVerdict(False, {
-                            "kind": "mathieu", "a": a, "b": None, "c": c, "power": power})
-            if theta == "two":
-                seen = set()
-                for b in elems:
-                    bx = algebra.multiply(b, x)
-                    if bx in seen:
-                        continue
-                    seen.add(bx)
-                    for c in elems:
-                        if not j.contains(algebra.multiply(bx, c)):
-                            return MathieuVerdict(False, {
-                                "kind": "mathieu", "a": a, "b": b, "c": c, "power": power})
-            passed.add(x)
-    return MathieuVerdict(True)
 
 
 def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
@@ -250,12 +227,19 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     return MathieuVerdict(True)
 
 
-def decide(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -> MathieuVerdict:
-    """Is J theta-Mathieu: by the idempotent criterion for method "idem", by the
-    brute-force power scan for "brute"."""
+def _decider(method: str):
+    """The Mathieu decider a method names: the idempotent criterion for "idem",
+    the brute-force power scan for "brute"; any other name is refused."""
+    if method == "idem":
+        return is_theta_mathieu_idempotent
     if method == "brute":
-        return is_theta_mathieu_bruteforce(algebra, j, theta, cap)
-    return is_theta_mathieu_idempotent(algebra, j, theta, cap)
+        return is_theta_mathieu_bruteforce
+    raise ValueError(f"unknown Mathieu decider method {method!r}; use 'idem' or 'brute'")
+
+
+def decide(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -> MathieuVerdict:
+    """Is J theta-Mathieu, by the decider `method` names (see `_decider`)."""
+    return _decider(method)(algebra, j, theta, cap)
 
 
 def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
@@ -379,6 +363,7 @@ def tau(module: ModuleSpace, n_space: Subspace, theta: str,
         cap: int = DEFAULT_ELEMENT_CAP, method: str = "idem") -> ElementSet:
     """Elements u with (N:u) a theta-Mathieu subspace (finite fields only)."""
     theta = normalize_theta(theta)
+    _decider(method)  # refuse an unknown method before any scan
     if module.field.is_rational:
         raise ValueError("tau needs a finite field: the Mathieu deciders enumerate the algebra")
     return stable_sets(module, n_space, cap,
@@ -418,6 +403,7 @@ def _unit_avoiding_candidates(algebra: Algebra, cap: int):
 def find_quasi_stable_violation(module: ModuleSpace, theta: str, method: str = "idem",
                                 cap: int = DEFAULT_ELEMENT_CAP):
     """First (N, u, witness) with u outside N and (N:u) not theta-Mathieu."""
+    _decider(method)
     return _first_violation(module.algebra, normalize_theta(theta), method, cap,
                             _colon_candidates(module, cap))
 
@@ -442,6 +428,7 @@ def is_stable(module: ModuleSpace, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -
 def find_algebra_quasi_stable_violation(algebra: Algebra, theta: str, method: str = "idem",
                                         cap: int = DEFAULT_ELEMENT_CAP):
     """First (J, witness) with J avoiding the unit and not theta-Mathieu."""
+    _decider(method)
     return _first_violation(algebra, normalize_theta(theta), method, cap,
                             _unit_avoiding_candidates(algebra, cap))
 

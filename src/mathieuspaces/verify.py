@@ -87,9 +87,10 @@ class Profile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Profile":
-        """A profile from a JSON object: `primes` and `matrix_sizes` are arrays
-        of ints, every other key is an int, and every one but `seed` is a count,
-        which must not be negative."""
+        """A profile from a JSON object: `primes` and `matrix_sizes` are
+        non-empty arrays of primes and of sizes of at least 2, every other key
+        is an int, and every one but `seed` is a count, which must not be
+        negative.  A profile that would drop a check is refused."""
         if not isinstance(obj, dict):
             raise ValueError("a profile must be a JSON object")
         bad = set(obj) - set(cls.__dataclass_fields__)
@@ -98,9 +99,17 @@ class Profile:
         kwargs = {}
         for key, value in obj.items():
             if key in ("primes", "matrix_sizes"):
-                if not isinstance(value, list) or not all(map(_is_int, value)):
-                    raise ValueError(f"profile key {key!r} must be an array of ints")
+                if not isinstance(value, list) or not value or not all(map(_is_int, value)):
+                    raise ValueError(f"profile key {key!r} must be a non-empty array of ints")
                 value = tuple(value)
+                if key == "matrix_sizes" and min(value) < 2:
+                    raise ValueError("profile key 'matrix_sizes' must hold sizes of at least 2")
+                if key == "primes":
+                    try:
+                        for p in value:
+                            GF(p)
+                    except ValueError as err:
+                        raise ValueError(f"profile key 'primes': {err}") from None
             elif not _is_int(value):
                 raise ValueError(f"profile key {key!r} must be an int")
             elif value < 0 and key != "seed":

@@ -423,6 +423,11 @@ def test_unknown_profile_keys_are_usage_errors(tmp_path, capsys):
     ({"seed": "abc"}, "seed"),
     ({"seed": True}, "seed"),
     ({"hom_samples": -1}, "hom_samples"),
+    ({"matrix_sizes": [1]}, "matrix_sizes"),
+    ({"matrix_sizes": [-2]}, "matrix_sizes"),
+    ({"matrix_sizes": []}, "matrix_sizes"),
+    ({"primes": []}, "primes"),
+    ({"primes": [4]}, "primes"),
     ([1, 2], "JSON object"),
 ])
 def test_malformed_profiles_are_usage_errors(tmp_path, capsys, obj, named):

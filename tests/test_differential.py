@@ -19,7 +19,9 @@ import pytest
 from mathieuspaces.algebras import (
     builder_spec_to_algebra,
     matrix_algebra,
+    opposite,
     product_algebra,
+    quotient_algebra,
     truncated_poly,
     upper_triangular,
 )
@@ -393,13 +395,27 @@ def unpruned_bruteforce(algebra, j, theta, cap):
     return MathieuVerdict(True)
 
 
+def _opposite_upper():
+    return opposite(upper_triangular(2, 3))
+
+
+def _quotient_upper():
+    """UT_3(GF(2)) modulo the two-sided ideal spanned by E_12 and E_13, which
+    is GF(2) x UT_2(GF(2)): 16 elements, not commutative."""
+    ut = upper_triangular(3, 2)
+    ideal = Subspace(ut.field, ut.dim, [ut.basis_vector(1), ut.basis_vector(2)])
+    return quotient_algebra(ut, ideal)[0]
+
+
 @pytest.mark.parametrize("spec", [("product", 3, 2), ("truncated", 3, 3),
-                                  ("upper", 2, 3), ("matrix", 2, 2)])
+                                  ("upper", 2, 3), ("matrix", 2, 2),
+                                  _opposite_upper, _quotient_upper])
 def test_bruteforce_scan_against_the_unpruned_loop(spec):
-    """Same verdict and witness on every subspace and side, on the table path
-    and on the generic path."""
-    indexed = builder_spec_to_algebra(spec)
-    generic = builder_spec_to_algebra(spec)
+    """Same verdict and witness on every subspace and side, with the
+    multiplication table and with it switched off."""
+    build = spec if callable(spec) else lambda: builder_spec_to_algebra(spec)
+    indexed = build()
+    generic = build()
     generic.mult_table = lambda: None
     assert indexed.mult_table() is not None
     for j in enumerate_subspaces(indexed.field, indexed.dim):
@@ -407,3 +423,21 @@ def test_bruteforce_scan_against_the_unpruned_loop(spec):
             expected = unpruned_bruteforce(generic, j, theta, DEFAULT_ELEMENT_CAP)
             assert is_theta_mathieu_bruteforce(indexed, j, theta) == expected, (j.basis, theta)
             assert is_theta_mathieu_bruteforce(generic, j, theta) == expected, (j.basis, theta)
+
+
+def test_bruteforce_scan_without_a_table_against_the_unpruned_loop():
+    """An algebra above the table limit: products and trajectories are
+    computed one at a time, and the scan names the unpruned loop's witness."""
+    algebra = truncated_poly(5, 5)
+    assert algebra.element_count() == 3125
+    rng = random.Random(443)
+    # the unit's line is the one line here that is not Mathieu; x^4 spans a
+    # nilpotent line whose elements all share the cycle (0)
+    lines = [Subspace(algebra.field, algebra.dim, [v]) for v in (algebra.unit, (0, 0, 0, 0, 1))]
+    lines += [_subspace_of_dim(rng, algebra.field, algebra.dim, 1) for _ in range(2)]
+    for j in lines:
+        for theta in ("left", "right"):
+            expected = unpruned_bruteforce(algebra, j, theta, DEFAULT_ELEMENT_CAP)
+            assert is_theta_mathieu_bruteforce(algebra, j, theta) == expected, (j.basis, theta)
+    assert algebra.mult_table() is None
+    assert algebra._trajectories == {}

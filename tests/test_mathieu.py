@@ -25,6 +25,7 @@ from mathieuspaces.linalg import (
     subspace_intersect,
 )
 from mathieuspaces.mathieu import (
+    decide,
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
     find_quasi_stable_violation,
@@ -611,6 +612,24 @@ def test_tau_over_q_refuses_at_construction():
     line = Subspace(QQ, 4, [(1, 0, 0, 0)])
     with pytest.raises(ValueError, match="finite field"):
         tau(nat, line, "left")
+
+
+def test_unknown_decider_methods_are_refused_before_any_scan():
+    algebra = matrix_algebra(2, 2)
+    nat = natural_module(algebra)
+    zero = Subspace.zero(F2, 4)
+    with pytest.raises(ValueError, match="'bogus'"):
+        decide(algebra, trace_zero(2), "two", "bogus", 16)
+    with pytest.raises(ValueError, match="'nope'"):
+        is_module_mathieu(nat, zero, E11, "two", method="nope")
+    with pytest.raises(ValueError, match="'Brute'"):
+        tau(nat, zero, "two", method="Brute")
+    # "ideal" names the stable scan, not a Mathieu decider
+    with pytest.raises(ValueError, match="'ideal'"):
+        find_quasi_stable_violation(nat, "two", method="ideal")
+    with pytest.raises(ValueError, match="'ideal'"):
+        find_algebra_quasi_stable_violation(algebra, "two", method="ideal")
+    assert len(algebra._memo) == 0 and algebra._idempotents is None
 
 
 def test_capped_sets_equal_only_themselves():
