@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 a check or witness failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -272,7 +273,7 @@ def cmd_verify_paper(args):
     else:
         profile = Profile()
     if args.cap != DEFAULT_ELEMENT_CAP:
-        profile.element_cap = args.cap
+        profile = dataclasses.replace(profile, element_cap=args.cap)
     report = run_suite(profile, jobs=args.jobs)
     with_timing = not args.no_timing
     _emit(args, report.to_json(with_timing), [report.to_text(with_timing)])

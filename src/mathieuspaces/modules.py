@@ -22,7 +22,6 @@ from .linalg import (
     residual_matrix,
     rref_rows,
     solve_right_kernel,
-    subspace_intersect,
     vector_count,
 )
 
@@ -138,17 +137,8 @@ class ModuleSpace:
         return True
 
     def max_submodule(self, n_space: Subspace) -> Subspace:
-        """Largest action-invariant subspace inside N, by fixpoint descent."""
-        self._check_subspace(n_space)
-        current = n_space
-        while True:
-            nxt = current
-            for m in self.actions:
-                nxt = subspace_intersect(
-                    nxt, preimage_subspace(self.field, m, current, self.dim))
-            if nxt == current:
-                return current
-            current = nxt
+        """Largest action-invariant subspace inside N (see ColonClasses)."""
+        return self.colon_classes(n_space).submodule
 
     # -- quotients --------------------------------------------------------------
 
@@ -161,15 +151,8 @@ class ModuleSpace:
         proj = residual_matrix(v_space)
         pivot_set = set(v_space.pivots)
         free_cols = [c for c in range(self.dim) if c not in pivot_set]
-        qdim = len(free_cols)
-        actions = []
-        for m in self.actions:
-            qm = [[field.zero] * qdim for _ in range(qdim)]
-            for col, src in enumerate(free_cols):
-                img = mat_vec(field, proj, tuple(row[src] for row in m))
-                for row in range(qdim):
-                    qm[row][col] = img[row]
-            actions.append(tuple(tuple(r) for r in qm))
+        actions = [tuple(tuple(row[c] for c in free_cols) for row in mat_mul(field, proj, m))
+                   for m in self.actions]
         quot = ModuleSpace(self.algebra, actions,
                            name=f"{self.name}/(submodule dim {v_space.dim})")
         return quot, ModuleHom(self, quot, proj)
@@ -192,8 +175,10 @@ class ColonClasses:
     element.
 
     With R_N the residual map of N (kernel N), a.u lies in N iff
-    sum_i a_i F_i u = 0 for F_i = R_N A_i.  The F_i are composed once per N,
-    so a query costs one matrix-vector product and one row reduction; the
+    sum_i a_i F_i u = 0 for F_i = R_N A_i.  V is the common kernel of the
+    F_i, {u : e_i.u in N for every i}: the unit acts as the identity, so
+    u = 1.u lies in N, and A.(a.u) lies in A.u.  The F_i are composed once
+    per N, so a query costs one matrix-vector product and one row reduction; the
     kernel is built only for a row space the module has not seen.  C_N(cu+v)
     has the row space of C_N(u), so every u of a class finds its kernel there.
     """
@@ -201,12 +186,12 @@ class ColonClasses:
     def __init__(self, module: ModuleSpace, n_space: Subspace):
         self.module = module
         self.n_space = n_space
-        self.submodule = module.max_submodule(n_space)
         resid = residual_matrix(n_space)
         self._codim = len(resid)
         # row i*codim + r is row r of F_i
         self._forms = tuple(row for action in module.actions
                             for row in mat_mul(module.field, resid, action))
+        self.submodule = solve_right_kernel(module.field, self._forms, module.dim)
         self._classes: list | None = None
 
     def colon(self, u: Sequence) -> Subspace:

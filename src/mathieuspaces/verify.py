@@ -41,6 +41,7 @@ from .linalg import (
     mat_vec,
     preimage_subspace,
     solve_right_kernel,
+    subspace_intersect,
 )
 from .mathieu import (
     find_algebra_quasi_stable_violation,
@@ -74,6 +75,11 @@ from .serialize import vector_to_json, witness_to_json
 
 @dataclass
 class Profile:
+    """Sizes of the battery.  `primes` and `matrix_sizes` are non-empty tuples
+    of primes and of sizes of at least 2, every other field is an int, and
+    every one but `seed` is a count, which must not be negative.  A profile
+    that would drop a check is refused when it is built."""
+
     primes: tuple = (2, 3, 5)
     matrix_sizes: tuple = (2,)
     element_cap: int = DEFAULT_ELEMENT_CAP
@@ -85,37 +91,33 @@ class Profile:
     integral_samples: int = 100
     seed: int = 8627
 
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if key in ("primes", "matrix_sizes"):
+                if not isinstance(value, tuple) or not value or not all(map(_is_int, value)):
+                    raise ValueError(f"profile key {key!r} must be a non-empty tuple of ints")
+            elif not _is_int(value):
+                raise ValueError(f"profile key {key!r} must be an int")
+            elif value < 0 and key != "seed":
+                raise ValueError(f"profile key {key!r} must not be negative")
+        if min(self.matrix_sizes) < 2:
+            raise ValueError("profile key 'matrix_sizes' must hold sizes of at least 2")
+        try:
+            for p in self.primes:
+                GF(p)
+        except ValueError as err:
+            raise ValueError(f"profile key 'primes': {err}") from None
+
     @classmethod
     def from_json(cls, obj: dict) -> "Profile":
-        """A profile from a JSON object: `primes` and `matrix_sizes` are
-        non-empty arrays of primes and of sizes of at least 2, every other key
-        is an int, and every one but `seed` is a count, which must not be
-        negative.  A profile that would drop a check is refused."""
+        """A profile from a JSON object, its arrays read as tuples."""
         if not isinstance(obj, dict):
             raise ValueError("a profile must be a JSON object")
         bad = set(obj) - set(cls.__dataclass_fields__)
         if bad:
             raise ValueError(f"unknown profile keys: {sorted(bad)}")
-        kwargs = {}
-        for key, value in obj.items():
-            if key in ("primes", "matrix_sizes"):
-                if not isinstance(value, list) or not value or not all(map(_is_int, value)):
-                    raise ValueError(f"profile key {key!r} must be a non-empty array of ints")
-                value = tuple(value)
-                if key == "matrix_sizes" and min(value) < 2:
-                    raise ValueError("profile key 'matrix_sizes' must hold sizes of at least 2")
-                if key == "primes":
-                    try:
-                        for p in value:
-                            GF(p)
-                    except ValueError as err:
-                        raise ValueError(f"profile key 'primes': {err}") from None
-            elif not _is_int(value):
-                raise ValueError(f"profile key {key!r} must be an int")
-            elif value < 0 and key != "seed":
-                raise ValueError(f"profile key {key!r} must not be negative")
-            kwargs[key] = value
-        return cls(**kwargs)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in obj.items()})
 
 
 def _is_int(x) -> bool:
@@ -267,8 +269,6 @@ def check_column_module_sets(profile: Profile) -> list:
              "(other sides) for the zero space, and zero otherwise")
     for p in profile.primes:
         for n in profile.matrix_sizes:
-            if n < 2:
-                continue
             instance_base = f"p={p} n={n}"
             if p ** (n * n) > profile.element_cap:
                 entries.append(CheckEntry(
@@ -395,6 +395,20 @@ def _module_zoo(profile: Profile) -> list:
     return zoo
 
 
+def _fixpoint_submodule(module, n_space: Subspace) -> Subspace:
+    """The largest submodule inside N by fixpoint descent: each round keeps the
+    vectors of the current space that every action matrix maps into it."""
+    current = n_space
+    while True:
+        nxt = current
+        for m in module.actions:
+            nxt = subspace_intersect(
+                nxt, preimage_subspace(module.field, m, current, module.dim))
+        if nxt == current:
+            return current
+        current = nxt
+
+
 def check_max_submodule(profile: Profile) -> list:
     claim = ("the fixpoint maximum submodule of N equals both N intersect sigma(N) "
              "and N intersect tau(N) for every side selector")
@@ -405,7 +419,12 @@ def check_max_submodule(profile: Profile) -> list:
     def mismatch(module):
         for _ in range(per_module):
             n_space = _random_subspace(rng, module.field, module.dim)
-            inside = frozenset(module.max_submodule(n_space).elements())
+            fixpoint = _fixpoint_submodule(module, n_space)
+            kernel = module.max_submodule(n_space)
+            if kernel != fixpoint:
+                return {"subspace": n_space.to_json(), "fixpoint": fixpoint.to_json(),
+                        "max_submodule": kernel.to_json()}
+            inside = frozenset(fixpoint.elements())
             for theta in THETAS:
                 got_sigma, got_tau = _sets(module, n_space, theta, profile.element_cap)
                 n_sig = frozenset(filter(n_space.contains, got_sigma))

@@ -449,6 +449,12 @@ def _perfbench_profile():
     raise AssertionError("no PROFILE in the verify-paper workload")
 
 
+def test_a_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-paper", "--cap", "-5")
+    assert (code, out) == (2, "")
+    assert "element_cap" in err
+
+
 def test_default_and_benchmark_profiles_load():
     default = json.loads(json.dumps(dataclasses.asdict(Profile())))
     assert Profile.from_json(default) == Profile()

@@ -8,7 +8,8 @@ quantifier is a raw scan.  The per-element oracle for sigma/tau further down
 does use the library's colon spaces and deciders, but computes one colon
 space and one decision per element, with no caches and no class reduction.
 The brute-force Mathieu scan is also diffed against its own loop without the
-work it skips (`unpruned_bruteforce`).
+work it skips (`unpruned_bruteforce`), and the one-kernel `max_submodule`
+against the battery's fixpoint descent (`verify._fixpoint_submodule`).
 """
 
 import itertools
@@ -31,6 +32,7 @@ from mathieuspaces.linalg import (
     Subspace,
     enumerate_subspaces,
     enumerate_vectors,
+    mat_vec,
     solve_right_kernel,
 )
 from mathieuspaces.mathieu import (
@@ -42,7 +44,7 @@ from mathieuspaces.mathieu import (
     tau,
 )
 from mathieuspaces.modules import ColonClasses, column_module, natural_module
-from mathieuspaces.verify import Profile, _module_zoo, _random_subspace
+from mathieuspaces.verify import Profile, _fixpoint_submodule, _module_zoo, _random_subspace
 
 THETAS = ("left", "right", "pre", "two")
 
@@ -306,6 +308,43 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
             assert len(module._colons) == len(groups)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: natural_module(product_algebra(2, 2)),
+    lambda: natural_module(truncated_poly(3, 2)),
+    lambda: natural_module(upper_triangular(2, 2)),
+    lambda: column_module(matrix_algebra(2, 2), 2),
+    lambda: column_module(matrix_algebra(2, 3), 2),
+    lambda: _module_zoo(Profile(primes=(2,)))[-1],
+], ids=["GF(2)^2", "GF(2)[x]/(x^3)", "UT_2(GF(2))", "M_2(GF(2)) columns",
+        "M_2(GF(3)) columns", "zoo quotient"])
+def test_kernel_max_submodule_against_the_fixpoint_on_every_subspace(build):
+    module = build()
+    for n_space in enumerate_subspaces(module.field, module.dim):
+        assert module.max_submodule(n_space) == _fixpoint_submodule(module, n_space)
+
+
+def test_kernel_max_submodule_against_the_fixpoint_over_q():
+    rng = random.Random(439)
+    proper = 0
+    for algebra in (matrix_algebra(2, QQ), upper_triangular(2, QQ), truncated_poly(3, QQ)):
+        module = natural_module(algebra)
+
+        def rand_vec():
+            return tuple(QQ.parse_scalar(f"{rng.randrange(-3, 4)}/{rng.randrange(1, 3)}")
+                         for _ in range(module.dim))
+
+        for k in range(12):
+            gens = [rand_vec() for _ in range(rng.randrange(module.dim))]
+            if k % 2:  # add the submodule generated by a random u
+                u = rand_vec()
+                gens += [mat_vec(QQ, m, u) for m in module.actions]
+            n_space = Subspace(QQ, module.dim, gens)
+            fixpoint = _fixpoint_submodule(module, n_space)
+            assert module.max_submodule(n_space) == fixpoint
+            proper += 0 < fixpoint.dim < n_space.dim
+    assert proper  # some N hold a nonzero largest submodule smaller than N
+
+
 def _count_colon_calls(monkeypatch):
     """Count the colon spaces the class map computes (one kernel each)."""
     calls = [0]
@@ -336,21 +375,12 @@ def test_trace_hyperplane_sets_compute_one_colon_space_per_class(monkeypatch):
         assert calls[0] == want
 
 
-def test_trace_hyperplanes_share_colon_kernels_across_n(monkeypatch):
-    from mathieuspaces import modules
-
-    kernels = [0]
-    original = modules.solve_right_kernel
-
-    def counting(*args, **kwargs):
-        kernels[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(modules, "solve_right_kernel", counting)
+def test_trace_hyperplanes_share_colon_kernels_across_n():
     n, p = 2, 5
     module = natural_module(matrix_algebra(n, p))
     # (H_X : U) = H_(UX), or everything when UX = 0: 156 hyperplanes and the
-    # whole algebra, whatever the 36 hyperplanes H_X
+    # whole algebra, whatever the 36 hyperplanes H_X.  The colon memo gains one
+    # entry per colon kernel; it holds more than 157, so eviction cannot hide one.
     xs = [x for x in itertools.product(range(p), repeat=n * n)
           if any(x) and next(v for v in x if v) == 1][:36]
     for x in xs:
@@ -359,7 +389,8 @@ def test_trace_hyperplanes_share_colon_kernels_across_n(monkeypatch):
         for theta in ("left", "two"):
             sigma(module, h_x, theta)
             tau(module, h_x, theta)
-    assert 0 < kernels[0] <= 157
+    assert module._colons.size > 157
+    assert 0 < len(module._colons) <= 157
 
 
 def unpruned_bruteforce(algebra, j, theta, cap):

@@ -1,21 +1,30 @@
-"""The brute-force Mathieu scan shares no code with the fast paths.
+"""Every oracle shares no code with the fast paths it referees.
 
 `is_theta_mathieu_bruteforce` is the oracle the idempotent decider and the
-memoized bulk verdicts are refereed against, so it must not reach them.
-`mathieu.py` is parsed, and the oracle's body and the body of every
-module-level function it reaches are searched for the names of the fast
-paths, as plain names and as attributes.
+memoized bulk verdicts are refereed against.  In the battery,
+`_fixpoint_submodule` referees the kernel behind `max_submodule` and
+`_flat_matmul` the library's matrix products.  The oracle's source file is
+parsed, and the oracle's body and the body of every module-level function it
+reaches are searched for the names of the fast paths, as plain names and as
+attributes.
 """
 
 import ast
 from pathlib import Path
 
-MATHIEU = Path(__file__).resolve().parent.parent / "src" / "mathieuspaces" / "mathieu.py"
-ORACLE = "is_theta_mathieu_bruteforce"
-FAST_PATHS = frozenset({
-    "idempotents", "is_theta_mathieu_idempotent", "decide", "_witness", "_memo",
-    "colon", "colon_classes", "theta_ideal_generated",
-})
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mathieuspaces"
+ORACLES = [
+    ("mathieu.py", "is_theta_mathieu_bruteforce", frozenset({
+        "idempotents", "is_theta_mathieu_idempotent", "decide", "_witness", "_memo",
+        "colon", "colon_classes", "theta_ideal_generated",
+    })),
+    ("verify.py", "_fixpoint_submodule", frozenset({
+        "max_submodule", "colon_classes", "ColonClasses", "submodule", "_forms",
+    })),
+    ("verify.py", "_flat_matmul", frozenset({"mat_mul", "mat_vec"})),
+]
 
 
 def _names(node):
@@ -26,15 +35,15 @@ def _names(node):
             yield sub.attr
 
 
-def fast_paths_reached(tree, root):
-    """(function, name) for every fast-path name in `root` or in a module-level
+def fast_paths_reached(tree, root, forbidden):
+    """(function, name) for every forbidden name in `root` or in a module-level
     function it reaches by name."""
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found, seen, todo = [], {root}, [root]
     while todo:
         name = todo.pop()
         for used in _names(functions[name]):
-            if used in FAST_PATHS:
+            if used in forbidden:
                 found.append((name, used))
             elif used in functions and used not in seen:
                 seen.add(used)
@@ -42,10 +51,13 @@ def fast_paths_reached(tree, root):
     return sorted(found)
 
 
-def test_the_bruteforce_oracle_reaches_no_fast_path():
-    tree = ast.parse(MATHIEU.read_text(), filename=str(MATHIEU))
-    assert ORACLE in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert fast_paths_reached(tree, ORACLE) == []
+@pytest.mark.parametrize("filename, oracle, forbidden", ORACLES,
+                         ids=[oracle for _file, oracle, _names in ORACLES])
+def test_the_oracle_reaches_no_fast_path(filename, oracle, forbidden):
+    path = SRC / filename
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert oracle in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert fast_paths_reached(tree, oracle, forbidden) == []
 
 
 def test_the_guard_follows_helpers_and_attributes():
@@ -53,4 +65,4 @@ def test_the_guard_follows_helpers_and_attributes():
         "def oracle(algebra):\n    return helper(algebra)\n"
         "def helper(algebra):\n    return algebra.idempotents()\n"
         "def unrelated():\n    return decide()\n")
-    assert fast_paths_reached(tree, "oracle") == [("helper", "idempotents")]
+    assert fast_paths_reached(tree, "oracle", ORACLES[0][2]) == [("helper", "idempotents")]

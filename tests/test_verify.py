@@ -85,3 +85,26 @@ def test_column_module_skipped_entry_is_labelled():
     entries = check_column_module_sets(Profile(primes=(2,), element_cap=8))
     assert [(e.check, e.expected, e.passed) for e in entries] == [
         ("column-module-sets", "skipped", True)]
+
+
+def test_max_submodule_entry_fails_when_the_kernel_leaves_the_fixpoint(monkeypatch):
+    # N itself as the fixpoint: wrong for every N that is not a submodule
+    monkeypatch.setattr(verify, "_fixpoint_submodule", lambda module, n_space: n_space)
+    entries = verify.check_max_submodule(SMALL)
+    failed = [e for e in entries if not e.passed]
+    assert failed
+    assert all(set(e.computed) == {"subspace", "fixpoint", "max_submodule"} for e in failed)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"primes": (4,)},
+    {"primes": ()},
+    {"primes": [2]},
+    {"matrix_sizes": (1,)},  # column-module-sets used to skip it without an entry
+    {"element_cap": -5},
+    {"pair_samples": 2.5},
+])
+def test_profile_refuses_bad_values_when_built(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        Profile(**kwargs)
+
