@@ -90,6 +90,8 @@ class Field:
     def check_scalar(self, a):
         """Return ``a`` normalized, rejecting values foreign to this field."""
         if self.p is None:
+            if type(a) is Fraction:  # immutable and in lowest terms
+                return a
             if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
                 raise ValueError(f"not a rational scalar: {a!r}")
             return Fraction(a)
@@ -102,7 +104,12 @@ class Field:
         if self.p is None:
             if isinstance(obj, str):
                 num, _, den = obj.partition("/")
-                return Fraction(int(num), int(den)) if den else Fraction(int(num))
+                if not den:
+                    return Fraction(int(num))
+                den = int(den)
+                if not den:
+                    raise ValueError(f"bad rational literal: {obj!r} has a zero denominator")
+                return Fraction(int(num), den)
             if isinstance(obj, int) and not isinstance(obj, bool):
                 return Fraction(obj)
             raise ValueError(f"bad rational literal: {obj!r}")

@@ -26,13 +26,18 @@ class SupportCapExceeded(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient."""
+    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient.
 
-    __slots__ = ("field", "nvars", "terms")
+    A univariate polynomial over Q is held in its cleared form: integer
+    numerators by exponent over one positive common denominator D, with the
+    content taken out (gcd(D, every numerator) = 1), so D is the lcm of the
+    reduced coefficient denominators.  Its `terms` is a dict of `Fraction`s
+    derived from that form on each access.  Any other polynomial holds its
+    terms dict itself."""
+
+    __slots__ = ("field", "nvars", "_terms", "_numerators", "_denominator")
 
     def __init__(self, field: Field, nvars: int, terms=None):
-        self.field = field
-        self.nvars = nvars
         clean = {}
         for exp, coef in (terms or {}).items():
             if (not isinstance(exp, tuple) or len(exp) != nvars
@@ -41,14 +46,39 @@ class Poly:
             coef = field.check_scalar(coef)
             if coef:
                 clean[exp] = coef
-        self.terms = clean
+        if field.p is None and nvars == 1:
+            # reduced coefficients over the lcm of their denominators leave
+            # no content to take out
+            den = math.lcm(*[c.denominator for c in clean.values()])
+            self._set(field, 1, None,
+                      {k: c.numerator * (den // c.denominator) for (k,), c in clean.items()}, den)
+        else:
+            self._set(field, nvars, clean, None, None)
+
+    def _set(self, field, nvars, terms, numerators, denominator):
+        self.field, self.nvars = field, nvars
+        self._terms, self._numerators, self._denominator = terms, numerators, denominator
 
     @classmethod
     def _trusted(cls, field: Field, nvars: int, terms: dict) -> "Poly":
-        """A polynomial from terms that are already canonical: exponent tuples
-        of length nvars mapped to nonzero scalars of the field."""
+        """A polynomial over GF(p), or in several variables, from terms that are
+        already canonical: exponent tuples of length nvars mapped to nonzero
+        scalars of the field."""
         poly = object.__new__(cls)
-        poly.field, poly.nvars, poly.terms = field, nvars, terms
+        poly._set(field, nvars, terms, None, None)
+        return poly
+
+    @classmethod
+    def _over(cls, field: Field, numerators: dict, den: int) -> "Poly":
+        """The univariate polynomial over Q with coefficients N / den, N the
+        nonzero integers of `numerators` by exponent and den > 0, with the
+        content taken out."""
+        g = math.gcd(den, *numerators.values())
+        if g != 1:
+            den //= g
+            numerators = {k: n // g for k, n in numerators.items()}
+        poly = object.__new__(cls)
+        poly._set(field, 1, None, numerators, den)
         return poly
 
     @classmethod
@@ -64,31 +94,53 @@ class Poly:
         """Dense coefficient list, lowest degree first."""
         return cls(field, 1, {(k,): c for k, c in enumerate(coeffs) if c})
 
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> nonzero coefficient, a `Fraction` over Q and a
+        residue over GF(p)."""
+        if self._numerators is None:
+            return self._terms
+        den = self._denominator
+        return {(k,): Fraction(n, den) for k, n in self._numerators.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._numerators is None else self._numerators)
 
     def degree(self):
         """Total degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        if self._numerators is not None:
+            return max(self._numerators, default=None)
+        return max((sum(e) for e in self._terms), default=None)
 
     def coeffs_univariate(self) -> list:
         if self.nvars != 1:
             raise ValueError("not univariate")
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return []
-        top = max(e[0] for e in self.terms)
+        top = max(e[0] for e in terms)
         out = [self.field.zero] * (top + 1)
-        for (k,), c in self.terms.items():
+        for (k,), c in terms.items():
             out[k] = c
         return out
 
     def __add__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        terms = dict(self.terms)
+        if self._numerators is not None:
+            d1, d2 = self._denominator, other._denominator
+            den = math.lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            nums = {k: n * s1 for k, n in self._numerators.items()}
+            for k, n in other._numerators.items():
+                s = nums.get(k, 0) + n * s2
+                if s:
+                    nums[k] = s
+                else:
+                    nums.pop(k, None)
+            return Poly._over(self.field, nums, den)
+        terms = dict(self._terms)
         add = self.field.add
-        for exp, c in other.terms.items():
+        for exp, c in other._terms.items():
             s = add(terms.get(exp, self.field.zero), c)
             if s:
                 terms[exp] = s
@@ -97,8 +149,11 @@ class Poly:
         return Poly._trusted(self.field, self.nvars, terms)
 
     def __neg__(self) -> "Poly":
+        if self._numerators is not None:
+            return Poly._over(self.field, {k: -n for k, n in self._numerators.items()},
+                              self._denominator)
         neg = self.field.neg
-        return Poly._trusted(self.field, self.nvars, {e: neg(c) for e, c in self.terms.items()})
+        return Poly._trusted(self.field, self.nvars, {e: neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -106,12 +161,19 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
         field = self.field
+        if self._numerators is not None:
+            acc = _convolve(self._numerators.items(), other._numerators.items())
+            return Poly._over(field, {k: v for k, v in acc.items() if v},
+                              self._denominator * other._denominator)
         if self.nvars == 1:
-            return Poly._trusted(field, 1, _convolve(self.terms, other.terms, field.p))
+            p = field.p
+            acc = _convolve([(i, a) for (i,), a in self._terms.items()],
+                            [(j, b) for (j,), b in other._terms.items()])
+            return Poly._trusted(field, 1, {(k,): r for k, v in acc.items() if (r := v % p)})
         add, mul = field.add, field.mul
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 prod = mul(c1, c2)
                 if exp in terms:
@@ -126,8 +188,15 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         field = self.field
-        c, mul = field.check_scalar(c), field.mul
-        terms = {e: mul(c, v) for e, v in self.terms.items()} if c else {}
+        c = field.check_scalar(c)
+        if self._numerators is not None:
+            if not c:
+                return Poly._over(field, {}, 1)
+            a = c.numerator
+            return Poly._over(field, {k: n * a for k, n in self._numerators.items()},
+                              self._denominator * c.denominator)
+        mul = field.mul
+        terms = {e: mul(c, v) for e, v in self._terms.items()} if c else {}
         return Poly._trusted(field, self.nvars, terms)
 
     def evaluate(self, point: Sequence):
@@ -136,7 +205,7 @@ class Poly:
         field = self.field
         point = [field.check_scalar(x) for x in point]
         if self.nvars != 1:
-            return _term_loop(self.terms, point, field)
+            return _term_loop(self._terms, point, field)
         (value,) = _univariate_values(self, point)
         return value if field.p is not None else Fraction(*value)
 
@@ -146,13 +215,16 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
-                and self.nvars == other.nvars and self.terms == other.terms)
+                and self.nvars == other.nvars and self._terms == other._terms
+                and self._numerators == other._numerators
+                and self._denominator == other._denominator)
 
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"Poly({self.nvars} vars, {len(self.terms)} terms)"
+        size = len(self._terms if self._numerators is None else self._numerators)
+        return f"Poly({self.nvars} vars, {size} terms)"
 
 
 def _cleared(terms) -> tuple:
@@ -163,41 +235,31 @@ def _cleared(terms) -> tuple:
     return [(k, n * (den // d)) for k, (n, d) in ratios], den
 
 
-def _convolve(f: dict, g: dict, p: int | None) -> dict:
-    """Terms of the product of two univariate polynomials, given by their
-    terms.  The products of coefficients are summed in a dict keyed by the
-    integer exponent, so a sparse polynomial of huge degree costs nothing
-    extra; over GF(p) each sum is reduced once, over Q the factors are taken
-    as integer numerators over their common denominators and each output
-    term becomes one Fraction."""
-    if p is None:
-        (f, df), (g, dg) = _cleared(f.items()), _cleared(g.items())
-    else:
-        f, g = f.items(), g.items()
+def _convolve(f, g) -> dict:
+    """The sums of the products a*b keyed by i+j, over the (exponent i,
+    integer a) pairs of f and (j, b) of g, some of them possibly zero.  The
+    dict is keyed by the integer exponent, so a sparse polynomial of huge
+    degree costs nothing extra."""
     acc: dict = {}
     get = acc.get
-    for (i,), a in f:
-        for (j,), b in g:
+    for i, a in f:
+        for j, b in g:
             k = i + j
             acc[k] = get(k, 0) + a * b
-    if p is None:
-        den = df * dg
-        return {(k,): Fraction(v, den) for k, v in acc.items() if v}
-    return {(k,): r for k, v in acc.items() if (r := v % p)}
+    return acc
 
 
 def _univariate_values(f: Poly, xs: Sequence) -> list:
     """Values of the univariate f at each canonical scalar in xs: residues
     over GF(p), integer pairs (n, d) with value n/d over Q.  The terms are
-    sorted once and, over Q, cleared of denominators once for all of xs."""
+    sorted once for all of xs; over Q they are the integer numerators of the
+    cleared form."""
     p = f.field.p
-    terms = sorted([(e, c) for (e,), c in f.terms.items()], reverse=True)
-    if not terms:
-        return [0 if p is not None else (0, 1) for _ in xs]
     if p is not None:
-        return [_horner(terms, x, p) for x in xs]
-    nums, den = _cleared(terms)
-    return [_horner_cleared(nums, den, x) for x in xs]
+        terms = sorted([(e, c) for (e,), c in f._terms.items()], reverse=True)
+        return [_horner(terms, x, p) if terms else 0 for x in xs]
+    nums, den = sorted(f._numerators.items(), reverse=True), f._denominator
+    return [_horner_cleared(nums, den, x) if nums else (0, 1) for x in xs]
 
 
 def _horner(terms: list, x: int, p: int) -> int:
@@ -334,8 +396,8 @@ def _twisted_weights(f: Poly, cfg: EvalConfig) -> list:
     terms) and the residue n_i with d_i = 1 over GF(p).
 
     Field and arity are checked once and the points are taken as canonical
-    (`EvalConfig` checked them).  A univariate f is sorted and cleared of
-    denominators once for all points; a multivariate f is evaluated term by
+    (`EvalConfig` checked them).  A univariate f is sorted once for all
+    points, over Q as its cleared form; a multivariate f is evaluated term by
     term."""
     field = cfg.field
     if f.field != field or f.nvars != cfg.nvars:
@@ -394,7 +456,7 @@ def indicator_poly(cfg: EvalConfig, i: int) -> Poly:
         terms = {exp: field.one}
         if other[coord]:
             terms[(0,) * cfg.nvars] = field.neg(other[coord])
-        out = out * Poly._trusted(field, cfg.nvars, terms).scale(field.inv(denom))
+        out = out * Poly(field, cfg.nvars, terms).scale(field.inv(denom))
     return out
 
 
@@ -451,12 +513,12 @@ def exact_integral(f: Poly, cfg: IntegralConfig) -> Fraction:
     h = f * cfg.q
     if h.is_zero():
         return Fraction(0)
-    # the antiderivative sum(N_k / (D*(k+1)) z^(k+1)) over the denominator D*L,
-    # L the lcm of the k+1
-    nums, den = _cleared(sorted(h.terms.items(), reverse=True))
-    lcm = math.lcm(*(k + 1 for (k,), _ in nums))
-    anti = [(k + 1, n * (lcm // (k + 1))) for (k,), n in nums]
-    den *= lcm
+    # the antiderivative sum(N_k / (D*(k+1)) z^(k+1)) of the cleared form of h
+    # over the denominator D*L, L the lcm of the k+1
+    nums = sorted(h._numerators.items(), reverse=True)
+    lcm = math.lcm(*(k + 1 for k, _ in nums))
+    anti = [(k + 1, n * (lcm // (k + 1))) for k, n in nums]
+    den = h._denominator * lcm
     (nb, db), (na, da) = _horner_cleared(anti, den, cfg.b), _horner_cleared(anti, den, cfg.a)
     return Fraction(nb * da - na * db, da * db)
 

@@ -894,3 +894,27 @@ def test_omega_field_zero_is_not_the_rationals(capsys):
     code, out, err = run_cli(capsys, "omega", "--alpha", "[1, -1]", "--field", "0")
     assert code == 2 and out == ""
     assert "field order must be prime, got 0" in err
+
+
+_ONE = {"vars": 1, "terms": [{"exp": [0], "coef": 1}]}
+_NBA_CONFIG = {"field": "Q", "points": [[0], [1]], "alpha": [1, 1]}
+
+
+@pytest.mark.parametrize("verb, config, poly", [
+    ("omega", None, None),
+    ("nba", {**_NBA_CONFIG, "alpha": ["1/0", "1"]}, _ONE),
+    ("nq", {"a": "1/0", "b": "1", "q": _ONE}, _ONE),
+    ("nba", _NBA_CONFIG, {"vars": 1, "terms": [{"exp": [0], "coef": "1/0"}]}),
+], ids=["omega-alpha", "nba-alpha", "nq-a", "poly-coef"])
+def test_a_zero_denominator_exits_two(tmp_path, capsys, verb, config, poly):
+    if config is None:
+        argv = [verb, "--alpha", '["1/0", "1"]']
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "poly.json").write_text(json.dumps(poly))
+        argv = [verb, "member", "--config", str(tmp_path / "cfg.json"),
+                "--poly", str(tmp_path / "poly.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "bad rational literal: '1/0' has a zero denominator" in err
+    assert "Traceback" not in err

@@ -30,6 +30,12 @@ def test_rational_scalars_stay_in_lowest_terms():
     assert QQ.scalar_to_json(Fraction(-1, 2)) == "-1/2"
 
 
+def test_a_zero_denominator_is_a_bad_rational_literal():
+    for literal in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            QQ.parse_scalar(literal)
+
+
 def test_nonprime_rejected():
     with pytest.raises(ValueError):
         GF(6)

@@ -2,9 +2,11 @@
 
 `is_theta_mathieu_bruteforce` is the oracle the idempotent decider and the
 memoized bulk verdicts are refereed against.  In the battery,
-`_fixpoint_submodule` referees the kernel behind `max_submodule` and
-`_flat_matmul` the library's matrix products.  The oracle's source file is
-parsed, and the oracle's body and the body of every module-level function it
+`_fixpoint_submodule` referees the kernel behind `max_submodule`,
+`_flat_matmul` the library's matrix products, and `_horner_eval`,
+`_double_sum_integral`, `_independent_twist` and `_subset_sums_nonzero` the
+integer polynomial kernels and the subset-sum scan.  The oracle's source file
+is parsed, and the oracle's body and the body of every module-level function it
 reaches are searched for the names of the fast paths, as plain names and as
 attributes.
 """
@@ -15,6 +17,12 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mathieuspaces"
+# the integer kernels of polyspaces, its subset-sum scan and the cleared form
+# of a Poly over Q
+_POLY_FAST_PATHS = frozenset({
+    "_cleared", "_convolve", "_horner_cleared", "_univariate_values", "_twisted_weights",
+    "_numerators", "_denominator", "omega_member", "_subset_sums",
+})
 ORACLES = [
     ("mathieu.py", "is_theta_mathieu_bruteforce", frozenset({
         "idempotents", "is_theta_mathieu_idempotent", "decide", "_witness", "_memo",
@@ -24,6 +32,9 @@ ORACLES = [
         "max_submodule", "colon_classes", "ColonClasses", "submodule", "_forms",
     })),
     ("verify.py", "_flat_matmul", frozenset({"mat_mul", "mat_vec"})),
+    *[("verify.py", oracle, _POLY_FAST_PATHS)
+      for oracle in ("_horner_eval", "_double_sum_integral", "_independent_twist",
+                     "_subset_sums_nonzero")],
 ]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from mathieuspaces.polyspaces import (
     standard_eval_config,
     support,
 )
+from mathieuspaces.serialize import poly_from_json, poly_to_json
 from mathieuspaces.verify import _double_sum_integral, _subset_sums_nonzero
 
 THETAS = ("left", "right", "pre", "two")
@@ -540,6 +542,163 @@ def test_exponents_must_be_tuples_of_nonnegative_ints(exp):
         Poly(QQ, 1, {exp: 1})
 
 
+# -- the cleared form of a univariate Poly over Q against a Fraction-dict model ------
+#
+# The model is a dict exponent -> nonzero Fraction with naive Fraction arithmetic.
+
+
+def _m_add(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for k, v in g.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _m_neg(f: dict) -> dict:
+    return {k: -v for k, v in f.items()}
+
+
+def _m_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for i, a in f.items():
+        for j, b in g.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+def _m_scale(f: dict, c: Fraction) -> dict:
+    return {k: c * v for k, v in f.items() if c}
+
+
+def _m_eval(f: dict, x: Fraction) -> Fraction:
+    return sum((c * x ** k for k, c in f.items()), Fraction(0))
+
+
+def _m_integral(f: dict, q: dict, a: Fraction, b: Fraction) -> Fraction:
+    return sum(((b ** (k + 1) - a ** (k + 1)) / (k + 1) * c for k, c in _m_mul(f, q).items()),
+               Fraction(0))
+
+
+def _m_text(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+_COEF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+# small exponents, and huge ones whose dense coefficient list could not be built
+_EXP = st.one_of(st.integers(0, 8), st.integers(10 ** 9, 10 ** 9 + 2))
+_MODEL = st.dictionaries(_EXP, _COEF, max_size=5).map(
+    lambda d: {k: v for k, v in d.items() if v})
+_DENSE_CAP = 40
+_OPS = {"+": (lambda f, g: f + g, _m_add),
+        "-": (lambda f, g: f - g, lambda f, g: _m_add(f, _m_neg(g))),
+        "*": (lambda f, g: f * g, _m_mul)}
+
+
+@st.composite
+def _built_poly(draw, depth: int = 2):
+    """(Poly, model) with the Poly built by one route: `__init__` (with int
+    and zero coefficients), `univariate`, `poly_from_json` (with split
+    duplicate terms), `scale`, negation or the sum, difference or product of
+    two built polynomials."""
+    routes = ["init", "univariate", "json"]
+    if depth:
+        routes += ["scale", "neg", *_OPS]
+    route = draw(st.sampled_from(routes))
+    if route in _OPS:
+        (f, mf), (g, mg) = draw(_built_poly(depth - 1)), draw(_built_poly(depth - 1))
+        op, model_op = _OPS[route]
+        return op(f, g), model_op(mf, mg)
+    if route in ("scale", "neg"):
+        f, mf = draw(_built_poly(depth - 1))
+        if route == "neg":
+            return -f, _m_neg(mf)
+        c = draw(_COEF)
+        return f.scale(c), _m_scale(mf, c)
+    model = draw(_MODEL)
+    if route == "univariate" and max(model, default=0) <= _DENSE_CAP:
+        dense = [model.get(k, Fraction(0)) for k in range(max(model, default=-1) + 1)]
+        return Poly.univariate(QQ, dense), model
+    if route == "json":
+        terms = []
+        for k, c in model.items():
+            part = draw(_COEF)
+            terms += [{"exp": [k], "coef": _m_text(c - part)}, {"exp": [k], "coef": _m_text(part)}]
+        return poly_from_json(QQ, {"vars": 1, "terms": draw(st.permutations(terms))}), model
+    terms = {(k,): int(c) if c.denominator == 1 else c for k, c in model.items()}
+    terms[(draw(st.integers(9, 12)),)] = Fraction(0)
+    return Poly(QQ, 1, terms), model
+
+
+def _assert_matches(poly: Poly, model: dict):
+    terms = {(k,): c for k, c in model.items()}
+    assert poly.terms == terms
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    assert poly == Poly(QQ, 1, terms)
+    assert hash(poly) == hash((QQ, 1, frozenset(terms.items())))
+    assert poly_to_json(poly) == {"vars": 1, "terms": [
+        {"exp": [k], "coef": _m_text(c)} for k, c in sorted(model.items())]}
+    assert poly.is_zero() == (not model)
+    assert poly.degree() == max(model, default=None)
+    if max(model, default=0) <= _DENSE_CAP:
+        assert poly.coeffs_univariate() == [
+            model.get(k, Fraction(0)) for k in range(max(model, default=-1) + 1)]
+    # the cleared form: D is the lcm of the reduced denominators, so no
+    # factor is shared by D and every numerator
+    den = poly._denominator
+    assert den == math.lcm(*(c.denominator for c in model.values()))
+    assert poly._numerators == {k: c.numerator * (den // c.denominator)
+                                for k, c in model.items()}
+    assert math.gcd(den, *poly._numerators.values()) == 1
+
+
+_ONE_PLUS_Z = (Poly(QQ, 1, {(0,): 1, (1,): 1}), {0: Fraction(1), 1: Fraction(1)})
+_ONE_MINUS_Z = (Poly.univariate(QQ, [1, -1]), {0: Fraction(1), 1: Fraction(-1)})
+_HALF_Z = (Poly(QQ, 1, {(1,): Fraction(1, 2)}), {1: Fraction(1, 2)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_built_poly(), _built_poly(), _COEF, st.data())
+@example(_ONE_PLUS_Z, _ONE_MINUS_Z, Fraction(2), None)
+@example(_HALF_Z, (Poly(QQ, 1, {(0,): 2}), {0: Fraction(2)}), Fraction(1, 2), None)
+@example(_HALF_Z, _HALF_Z, Fraction(0), None)
+@example((Poly(QQ, 1, {(10 ** 9,): Fraction(1, 3), (0,): Fraction(1, 6)}),
+          {10 ** 9: Fraction(1, 3), 0: Fraction(1, 6)}),
+         (Poly(QQ, 1, {(10 ** 9,): 3, (0,): Fraction(-3, 2)}),
+          {10 ** 9: Fraction(3), 0: Fraction(-3, 2)}), Fraction(-5, 4), None)
+def test_cleared_form_matches_the_fraction_dict_model(f_built, g_built, c, data):
+    (f, mf), (g, mg) = f_built, g_built
+    for poly, model in [(f, mf), (g, mg), (f + g, _m_add(mf, mg)),
+                        (f - g, _m_add(mf, _m_neg(mg))), (-f, _m_neg(mf)),
+                        (f * g, _m_mul(mf, mg)), (g * f, _m_mul(mf, mg)),
+                        (f.scale(c), _m_scale(mf, c))]:
+        _assert_matches(poly, model)
+    assert (f == g) == (mf == mg)
+    if max([*mf, *mg, 0]) <= _DENSE_CAP:
+        points = _X
+    else:  # a huge power is exact only at -1, 0 and 1
+        points = st.sampled_from([Fraction(t) for t in (-1, 0, 1)])
+    x, a, b = [Fraction(-1), Fraction(0), Fraction(1)] if data is None else [
+        data.draw(points) for _ in range(3)]
+    assert f.evaluate((x,)) == _m_eval(mf, x)
+    if a != b:
+        assert exact_integral(f, IntegralConfig(a, b, g)) == _m_integral(mf, mg, a, b)
+
+
+def test_chained_products_keep_the_denominator_at_the_lcm():
+    cfg = standard_eval_config(9, QQ, [1] * 9)
+    for i in range(9):
+        e = indicator_poly(cfg, i)
+        den = math.lcm(*(c.denominator for c in e.terms.values()))
+        assert e._denominator == den
+        assert [e.evaluate((Fraction(t),)) for t in range(9)] == [int(t == i) for t in range(9)]
+    # (z/2 + 1/2)^k (2z - 2)^k = (z^2 - 1)^k: the factor denominators 2^k cancel
+    h = expected = upoly(1)
+    for _ in range(7):
+        h = h * upoly(Fraction(1, 2), Fraction(1, 2)) * upoly(-2, 2)
+        expected = expected * upoly(-1, 0, 1)
+        assert h._denominator == 1 and h == expected
+
+
 # -- differential tests of the four nba_* predicates ---------------------------------
 
 
@@ -652,7 +811,13 @@ def test_nba_predicates_reject_a_mismatched_polynomial():
         nba_member(Poly(QQ, 2, {(1, 1): 1}), empty)
 
 
-def test_univariate_nba_member_over_q_clears_f_once_and_never_calls_evaluate(monkeypatch):
+def test_univariate_nba_member_over_q_clears_nothing_and_never_calls_evaluate(monkeypatch):
+    # f, g and the twisted configuration are built first: the predicates and
+    # the product g*f work on the cleared forms and clear no denominators
+    cfg = qq_config([0, 1, -2, 3], [1, Fraction(1, 2), Fraction(-2, 3), 3])
+    f = upoly(Fraction(1, 3), 2, 0, Fraction(-5, 7))
+    g = upoly(Fraction(-3, 4), 0, Fraction(5, 6))
+    twisted = EvalConfig(QQ, cfg.points, alpha_f_B(f, cfg))
     calls = {"evaluate": 0, "_cleared": 0, "omega_member": 0}
 
     def counted(name, fn):
@@ -665,10 +830,10 @@ def test_univariate_nba_member_over_q_clears_f_once_and_never_calls_evaluate(mon
     monkeypatch.setattr(polyspaces, "_cleared", counted("_cleared", polyspaces._cleared))
     monkeypatch.setattr(polyspaces, "omega_member",
                         counted("omega_member", polyspaces.omega_member))
-    cfg = qq_config([0, 1, -2, 3], [1, Fraction(1, 2), Fraction(-2, 3), 3])
-    f = upoly(Fraction(1, 3), 2, 0, Fraction(-5, 7))
     assert nba_member(f, cfg) == (sum(_reference_twist(f, cfg)) == 0)
-    assert calls == {"evaluate": 0, "_cleared": 1, "omega_member": 0}
+    colon = nba_member(g * f, cfg)
+    assert colon == nba_member(g, twisted) == (sum(_reference_twist(g * f, cfg)) == 0)
+    assert calls == {"evaluate": 0, "_cleared": 0, "omega_member": 0}
     # the tau predicate reaches omega_member through the module global
     nba_tau_member(f, cfg)
     assert calls["evaluate"] == 0 and calls["omega_member"] == 1
