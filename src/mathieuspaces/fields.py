@@ -103,13 +103,14 @@ class Field:
         """Read a scalar from its JSON form (int, or "num/den" for Q)."""
         if self.p is None:
             if isinstance(obj, str):
-                num, _, den = obj.partition("/")
-                if not den:
-                    return Fraction(int(num))
-                den = int(den)
+                num, sep, den = obj.partition("/")
+                try:
+                    num, den = int(num), int(den) if sep else 1
+                except ValueError:
+                    raise ValueError(f"bad rational literal: {obj!r}") from None
                 if not den:
                     raise ValueError(f"bad rational literal: {obj!r} has a zero denominator")
-                return Fraction(int(num), den)
+                return Fraction(num, den)
             if isinstance(obj, int) and not isinstance(obj, bool):
                 return Fraction(obj)
             raise ValueError(f"bad rational literal: {obj!r}")

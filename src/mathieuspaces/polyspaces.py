@@ -26,59 +26,48 @@ class SupportCapExceeded(ValueError):
 
 
 class Poly:
-    """Sparse multivariate polynomial: exponent tuple -> nonzero coefficient.
+    """Sparse polynomial in one storage form: nonzero integer numerators keyed
+    by exponent over one positive common denominator D.  The exponent key is
+    an int in one variable and a tuple in several.  Over GF(p) the numerators
+    are residues and D = 1; over Q the content is taken out (gcd(D, every
+    numerator) = 1), so D is the lcm of the reduced coefficient denominators.
+    `terms` is derived from that form on each access."""
 
-    A univariate polynomial over Q is held in its cleared form: integer
-    numerators by exponent over one positive common denominator D, with the
-    content taken out (gcd(D, every numerator) = 1), so D is the lcm of the
-    reduced coefficient denominators.  Its `terms` is a dict of `Fraction`s
-    derived from that form on each access.  Any other polynomial holds its
-    terms dict itself."""
-
-    __slots__ = ("field", "nvars", "_terms", "_numerators", "_denominator")
+    __slots__ = ("field", "nvars", "_numerators", "_denominator")
 
     def __init__(self, field: Field, nvars: int, terms=None):
-        clean = {}
+        clean = []
         for exp, coef in (terms or {}).items():
             if (not isinstance(exp, tuple) or len(exp) != nvars
                     or any(type(e) is not int or e < 0 for e in exp)):
                 raise ValueError(f"bad exponent {exp!r} for {nvars} variables")
             coef = field.check_scalar(coef)
             if coef:
-                clean[exp] = coef
-        if field.p is None and nvars == 1:
-            # reduced coefficients over the lcm of their denominators leave
-            # no content to take out
-            den = math.lcm(*[c.denominator for c in clean.values()])
-            self._set(field, 1, None,
-                      {k: c.numerator * (den // c.denominator) for (k,), c in clean.items()}, den)
-        else:
-            self._set(field, nvars, clean, None, None)
-
-    def _set(self, field, nvars, terms, numerators, denominator):
+                clean.append((exp[0] if nvars == 1 else exp, coef))
+        # reduced coefficients over the lcm of their denominators leave no
+        # content to take out; a residue is its own numerator over 1
+        numerators, den = _cleared(clean)
         self.field, self.nvars = field, nvars
-        self._terms, self._numerators, self._denominator = terms, numerators, denominator
+        self._numerators, self._denominator = dict(numerators), den
 
     @classmethod
-    def _trusted(cls, field: Field, nvars: int, terms: dict) -> "Poly":
-        """A polynomial over GF(p), or in several variables, from terms that are
-        already canonical: exponent tuples of length nvars mapped to nonzero
-        scalars of the field."""
+    def _over(cls, field: Field, nvars: int, numerators: dict, den: int) -> "Poly":
+        """The polynomial with coefficients N / den, N the integers of
+        `numerators` by exponent key and den > 0 (den = 1 over GF(p)), in
+        canonical form: zeros dropped, residues reduced mod p over GF(p), the
+        content taken out over Q."""
+        p = field.p
+        if p is not None:
+            numerators = {k: r for k, n in numerators.items() if (r := n % p)}
+        else:
+            numerators = {k: n for k, n in numerators.items() if n}
+            g = math.gcd(den, *numerators.values())
+            if g != 1:
+                den //= g
+                numerators = {k: n // g for k, n in numerators.items()}
         poly = object.__new__(cls)
-        poly._set(field, nvars, terms, None, None)
-        return poly
-
-    @classmethod
-    def _over(cls, field: Field, numerators: dict, den: int) -> "Poly":
-        """The univariate polynomial over Q with coefficients N / den, N the
-        nonzero integers of `numerators` by exponent and den > 0, with the
-        content taken out."""
-        g = math.gcd(den, *numerators.values())
-        if g != 1:
-            den //= g
-            numerators = {k: n // g for k, n in numerators.items()}
-        poly = object.__new__(cls)
-        poly._set(field, 1, None, numerators, den)
+        poly.field, poly.nvars = field, nvars
+        poly._numerators, poly._denominator = numerators, den
         return poly
 
     @classmethod
@@ -97,20 +86,22 @@ class Poly:
     @property
     def terms(self) -> dict:
         """Exponent tuple -> nonzero coefficient, a `Fraction` over Q and a
-        residue over GF(p)."""
-        if self._numerators is None:
-            return self._terms
+        residue over GF(p), in a new dict on each access."""
+        items = self._numerators.items()
+        if self.nvars == 1:
+            items = [((k,), n) for k, n in items]
+        if self.field.p is not None:
+            return dict(items)
         den = self._denominator
-        return {(k,): Fraction(n, den) for k, n in self._numerators.items()}
+        return {k: Fraction(n, den) for k, n in items}
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._numerators is None else self._numerators)
+        return not self._numerators
 
     def degree(self):
         """Total degree; None for the zero polynomial."""
-        if self._numerators is not None:
-            return max(self._numerators, default=None)
-        return max((sum(e) for e in self._terms), default=None)
+        keys = self._numerators
+        return max(keys if self.nvars == 1 else map(sum, keys), default=None)
 
     def coeffs_univariate(self) -> list:
         if self.nvars != 1:
@@ -126,78 +117,41 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        if self._numerators is not None:
-            d1, d2 = self._denominator, other._denominator
-            den = math.lcm(d1, d2)
-            s1, s2 = den // d1, den // d2
-            nums = {k: n * s1 for k, n in self._numerators.items()}
-            for k, n in other._numerators.items():
-                s = nums.get(k, 0) + n * s2
-                if s:
-                    nums[k] = s
-                else:
-                    nums.pop(k, None)
-            return Poly._over(self.field, nums, den)
-        terms = dict(self._terms)
-        add = self.field.add
-        for exp, c in other._terms.items():
-            s = add(terms.get(exp, self.field.zero), c)
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return Poly._trusted(self.field, self.nvars, terms)
+        d1, d2 = self._denominator, other._denominator
+        den = math.lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        nums = {k: n * s1 for k, n in self._numerators.items()}
+        get = nums.get
+        for k, n in other._numerators.items():
+            nums[k] = get(k, 0) + n * s2
+        return Poly._over(self.field, self.nvars, nums, den)
 
     def __neg__(self) -> "Poly":
-        if self._numerators is not None:
-            return Poly._over(self.field, {k: -n for k, n in self._numerators.items()},
-                              self._denominator)
-        neg = self.field.neg
-        return Poly._trusted(self.field, self.nvars, {e: neg(c) for e, c in self._terms.items()})
+        return Poly._over(self.field, self.nvars,
+                          {k: -n for k, n in self._numerators.items()}, self._denominator)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        field = self.field
-        if self._numerators is not None:
-            acc = _convolve(self._numerators.items(), other._numerators.items())
-            return Poly._over(field, {k: v for k, v in acc.items() if v},
-                              self._denominator * other._denominator)
         if self.nvars == 1:
-            p = field.p
-            acc = _convolve([(i, a) for (i,), a in self._terms.items()],
-                            [(j, b) for (j,), b in other._terms.items()])
-            return Poly._trusted(field, 1, {(k,): r for k, v in acc.items() if (r := v % p)})
-        add, mul = field.add, field.mul
-        terms: dict = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = mul(c1, c2)
-                if exp in terms:
-                    s = add(terms[exp], prod)
-                    if s:
-                        terms[exp] = s
-                    else:
-                        del terms[exp]
-                elif prod:
-                    terms[exp] = prod
-        return Poly._trusted(field, self.nvars, terms)
+            acc = _convolve(self._numerators.items(), other._numerators.items())
+        else:
+            acc = {}
+            get = acc.get
+            for e1, a in self._numerators.items():
+                for e2, b in other._numerators.items():
+                    exp = tuple([x + y for x, y in zip(e1, e2)])
+                    acc[exp] = get(exp, 0) + a * b
+        return Poly._over(self.field, self.nvars, acc, self._denominator * other._denominator)
 
     def scale(self, c) -> "Poly":
-        field = self.field
-        c = field.check_scalar(c)
-        if self._numerators is not None:
-            if not c:
-                return Poly._over(field, {}, 1)
-            a = c.numerator
-            return Poly._over(field, {k: n * a for k, n in self._numerators.items()},
-                              self._denominator * c.denominator)
-        mul = field.mul
-        terms = {e: mul(c, v) for e, v in self._terms.items()} if c else {}
-        return Poly._trusted(field, self.nvars, terms)
+        # a residue is its own numerator over the denominator 1
+        c = self.field.check_scalar(c)
+        a = c.numerator
+        return Poly._over(self.field, self.nvars, {k: n * a for k, n in self._numerators.items()},
+                          self._denominator * c.denominator)
 
     def evaluate(self, point: Sequence):
         if len(point) != self.nvars:
@@ -205,7 +159,7 @@ class Poly:
         field = self.field
         point = [field.check_scalar(x) for x in point]
         if self.nvars != 1:
-            return _term_loop(self._terms, point, field)
+            return _term_loop(self.terms, point, field)
         (value,) = _univariate_values(self, point)
         return value if field.p is not None else Fraction(*value)
 
@@ -215,16 +169,14 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
-                and self.nvars == other.nvars and self._terms == other._terms
-                and self._numerators == other._numerators
+                and self.nvars == other.nvars and self._numerators == other._numerators
                 and self._denominator == other._denominator)
 
     def __hash__(self):
         return hash((self.field, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        size = len(self._terms if self._numerators is None else self._numerators)
-        return f"Poly({self.nvars} vars, {size} terms)"
+        return f"Poly({self.nvars} vars, {len(self._numerators)} terms)"
 
 
 def _cleared(terms) -> tuple:
@@ -251,14 +203,12 @@ def _convolve(f, g) -> dict:
 
 def _univariate_values(f: Poly, xs: Sequence) -> list:
     """Values of the univariate f at each canonical scalar in xs: residues
-    over GF(p), integer pairs (n, d) with value n/d over Q.  The terms are
-    sorted once for all of xs; over Q they are the integer numerators of the
-    cleared form."""
-    p = f.field.p
+    over GF(p), integer pairs (n, d) with value n/d over Q.  The numerators
+    are sorted once for all of xs."""
+    p, nums = f.field.p, sorted(f._numerators.items(), reverse=True)
     if p is not None:
-        terms = sorted([(e, c) for (e,), c in f._terms.items()], reverse=True)
-        return [_horner(terms, x, p) if terms else 0 for x in xs]
-    nums, den = sorted(f._numerators.items(), reverse=True), f._denominator
+        return [_horner(nums, x, p) if nums else 0 for x in xs]
+    den = f._denominator
     return [_horner_cleared(nums, den, x) if nums else (0, 1) for x in xs]
 
 
@@ -396,9 +346,8 @@ def _twisted_weights(f: Poly, cfg: EvalConfig) -> list:
     terms) and the residue n_i with d_i = 1 over GF(p).
 
     Field and arity are checked once and the points are taken as canonical
-    (`EvalConfig` checked them).  A univariate f is sorted once for all
-    points, over Q as its cleared form; a multivariate f is evaluated term by
-    term."""
+    (`EvalConfig` checked them).  The numerators of a univariate f are sorted
+    once for all points; a multivariate f is evaluated term by term."""
     field = cfg.field
     if f.field != field or f.nvars != cfg.nvars:
         raise ValueError("polynomial does not match the configuration")
@@ -408,7 +357,8 @@ def _twisted_weights(f: Poly, cfg: EvalConfig) -> list:
         if p is not None:
             return [(w * v % p, 1) for w, v in zip(cfg.weights, values)]
         return [(w.numerator * n, w.denominator * d) for w, (n, d) in zip(cfg.weights, values)]
-    values = [field.mul(w, _term_loop(f.terms, pt, field))
+    terms = f.terms
+    values = [field.mul(w, _term_loop(terms, pt, field))
               for w, pt in zip(cfg.weights, cfg.points)]
     return [(v.numerator, v.denominator) for v in values]  # a residue has denominator 1
 

@@ -918,3 +918,10 @@ def test_a_zero_denominator_exits_two(tmp_path, capsys, verb, config, poly):
     assert code == 2 and out == ""
     assert "bad rational literal: '1/0' has a zero denominator" in err
     assert "Traceback" not in err
+
+
+def test_an_empty_denominator_exits_two(capsys):
+    code, out, err = run_cli(capsys, "omega", "--alpha", '["1/", "-1"]')
+    assert code == 2 and out == ""
+    assert "bad rational literal: '1/'" in err
+    assert "Traceback" not in err

@@ -31,7 +31,7 @@ def test_rational_scalars_stay_in_lowest_terms():
 
 
 def test_a_zero_denominator_is_a_bad_rational_literal():
-    for literal in ("1/0", "0/0", "-3/00"):
+    for literal in ("1/0", "0/0", "-3/00", "1/", "/2"):
         with pytest.raises(ValueError, match="bad rational literal"):
             QQ.parse_scalar(literal)
 

@@ -17,11 +17,11 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mathieuspaces"
-# the integer kernels of polyspaces, its subset-sum scan and the cleared form
-# of a Poly over Q
+# the integer kernels of polyspaces, its subset-sum scan, and the storage form
+# of a Poly with the one constructor that canonicalises it
 _POLY_FAST_PATHS = frozenset({
     "_cleared", "_convolve", "_horner_cleared", "_univariate_values", "_twisted_weights",
-    "_numerators", "_denominator", "omega_member", "_subset_sums",
+    "_numerators", "_denominator", "_over", "omega_member", "_subset_sums",
 })
 ORACLES = [
     ("mathieu.py", "is_theta_mathieu_bruteforce", frozenset({

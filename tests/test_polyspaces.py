@@ -542,146 +542,222 @@ def test_exponents_must_be_tuples_of_nonnegative_ints(exp):
         Poly(QQ, 1, {exp: 1})
 
 
-# -- the cleared form of a univariate Poly over Q against a Fraction-dict model ------
+# -- the storage form of a Poly against a coefficient-dict model ---------------------
 #
-# The model is a dict exponent -> nonzero Fraction with naive Fraction arithmetic.
+# The model is a dict exponent tuple -> nonzero coefficient with naive arithmetic:
+# `Fraction`s over Q (p is None), ints reduced mod p over GF(p).
 
 
-def _m_add(f: dict, g: dict) -> dict:
+def _field(p):
+    return QQ if p is None else GF(p)
+
+
+def _m_reduce(f: dict, p) -> dict:
+    if p is not None:
+        f = {k: v % p for k, v in f.items()}
+    return {k: v for k, v in f.items() if v}
+
+
+def _m_add(f: dict, g: dict, p) -> dict:
     out = dict(f)
     for k, v in g.items():
         out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
+    return _m_reduce(out, p)
 
 
-def _m_neg(f: dict) -> dict:
-    return {k: -v for k, v in f.items()}
+def _m_neg(f: dict, p) -> dict:
+    return _m_reduce({k: -v for k, v in f.items()}, p)
 
 
-def _m_mul(f: dict, g: dict) -> dict:
+def _m_mul(f: dict, g: dict, p) -> dict:
     out: dict = {}
     for i, a in f.items():
         for j, b in g.items():
-            out[i + j] = out.get(i + j, 0) + a * b
-    return {k: v for k, v in out.items() if v}
+            k = tuple(x + y for x, y in zip(i, j))
+            out[k] = out.get(k, 0) + a * b
+    return _m_reduce(out, p)
 
 
-def _m_scale(f: dict, c: Fraction) -> dict:
-    return {k: c * v for k, v in f.items() if c}
+def _m_scale(f: dict, c, p) -> dict:
+    return _m_reduce({k: c * v for k, v in f.items()}, p)
 
 
-def _m_eval(f: dict, x: Fraction) -> Fraction:
-    return sum((c * x ** k for k, c in f.items()), Fraction(0))
+def _m_eval(f: dict, point, p):
+    total = Fraction(0)
+    for exp, c in f.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= Fraction(x) ** e if p is None else pow(x, e, p)
+        total += term
+    return total if p is None else int(total) % p
 
 
 def _m_integral(f: dict, q: dict, a: Fraction, b: Fraction) -> Fraction:
-    return sum(((b ** (k + 1) - a ** (k + 1)) / (k + 1) * c for k, c in _m_mul(f, q).items()),
-               Fraction(0))
+    return sum(((b ** (k + 1) - a ** (k + 1)) / (k + 1) * c
+                for (k,), c in _m_mul(f, q, None).items()), Fraction(0))
 
 
-def _m_text(c: Fraction) -> str:
+def _m_json(c, p):
+    if p is not None:
+        return c
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+_PRIMES = (None, 2, 3, 5, 13)
+# residues are drawn out of range too, so every route must reduce them
+_RESIDUE = st.integers(-9, 20)
 _COEF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 # small exponents, and huge ones whose dense coefficient list could not be built
 _EXP = st.one_of(st.integers(0, 8), st.integers(10 ** 9, 10 ** 9 + 2))
-_MODEL = st.dictionaries(_EXP, _COEF, max_size=5).map(
-    lambda d: {k: v for k, v in d.items() if v})
 _DENSE_CAP = 40
 _OPS = {"+": (lambda f, g: f + g, _m_add),
-        "-": (lambda f, g: f - g, lambda f, g: _m_add(f, _m_neg(g))),
+        "-": (lambda f, g: f - g, lambda f, g, p: _m_add(f, _m_neg(g, p), p)),
         "*": (lambda f, g: f * g, _m_mul)}
 
 
+def _coef(p):
+    return _COEF if p is None else _RESIDUE
+
+
+def _model(p, nvars: int):
+    return st.dictionaries(st.tuples(*[_EXP] * nvars), _coef(p), max_size=5).map(
+        lambda d: _m_reduce(d, p))
+
+
 @st.composite
-def _built_poly(draw, depth: int = 2):
-    """(Poly, model) with the Poly built by one route: `__init__` (with int
-    and zero coefficients), `univariate`, `poly_from_json` (with split
-    duplicate terms), `scale`, negation or the sum, difference or product of
-    two built polynomials."""
-    routes = ["init", "univariate", "json"]
+def _built_poly(draw, p, nvars: int, depth: int = 2):
+    """(Poly, model) over GF(p) (Q when p is None) in nvars variables, with the
+    Poly built by one route: `__init__` (with int and zero coefficients),
+    `univariate` (one variable), `poly_from_json` (with split duplicate
+    terms), `scale`, negation or the sum, difference or product of two built
+    polynomials."""
+    field = _field(p)
+    routes = ["init", "json", *(["univariate"] if nvars == 1 else [])]
     if depth:
         routes += ["scale", "neg", *_OPS]
     route = draw(st.sampled_from(routes))
     if route in _OPS:
-        (f, mf), (g, mg) = draw(_built_poly(depth - 1)), draw(_built_poly(depth - 1))
+        (f, mf), (g, mg) = [draw(_built_poly(p, nvars, depth - 1)) for _ in range(2)]
         op, model_op = _OPS[route]
-        return op(f, g), model_op(mf, mg)
+        return op(f, g), model_op(mf, mg, p)
     if route in ("scale", "neg"):
-        f, mf = draw(_built_poly(depth - 1))
+        f, mf = draw(_built_poly(p, nvars, depth - 1))
         if route == "neg":
-            return -f, _m_neg(mf)
-        c = draw(_COEF)
-        return f.scale(c), _m_scale(mf, c)
-    model = draw(_MODEL)
-    if route == "univariate" and max(model, default=0) <= _DENSE_CAP:
-        dense = [model.get(k, Fraction(0)) for k in range(max(model, default=-1) + 1)]
-        return Poly.univariate(QQ, dense), model
+            return -f, _m_neg(mf, p)
+        c = draw(_coef(p))
+        return f.scale(c), _m_scale(mf, c, p)
+    model = draw(_model(p, nvars))
+    top = max([e for k in model for e in k], default=-1)
+    if route == "univariate" and top <= _DENSE_CAP:
+        return Poly.univariate(field, [model.get((k,), 0) for k in range(top + 1)]), model
     if route == "json":
         terms = []
         for k, c in model.items():
-            part = draw(_COEF)
-            terms += [{"exp": [k], "coef": _m_text(c - part)}, {"exp": [k], "coef": _m_text(part)}]
-        return poly_from_json(QQ, {"vars": 1, "terms": draw(st.permutations(terms))}), model
-    terms = {(k,): int(c) if c.denominator == 1 else c for k, c in model.items()}
-    terms[(draw(st.integers(9, 12)),)] = Fraction(0)
-    return Poly(QQ, 1, terms), model
+            part = draw(_coef(p))
+            terms += [{"exp": list(k), "coef": _m_json(c - part, p)},
+                      {"exp": list(k), "coef": _m_json(part, p)}]
+        return poly_from_json(field, {"vars": nvars, "terms": draw(st.permutations(terms))}), model
+    terms = {k: int(c) if c.denominator == 1 else c for k, c in model.items()}
+    terms[(draw(st.integers(9, 12)),) * nvars] = field.zero
+    return Poly(field, nvars, terms), model
 
 
-def _assert_matches(poly: Poly, model: dict):
-    terms = {(k,): c for k, c in model.items()}
-    assert poly.terms == terms
-    assert all(type(c) is Fraction for c in poly.terms.values())
-    assert poly == Poly(QQ, 1, terms)
-    assert hash(poly) == hash((QQ, 1, frozenset(terms.items())))
-    assert poly_to_json(poly) == {"vars": 1, "terms": [
-        {"exp": [k], "coef": _m_text(c)} for k, c in sorted(model.items())]}
+@st.composite
+def _built_pairs(draw):
+    """(p, nvars, (f, model), (g, model), c): two built polynomials over one
+    field and arity, and a scalar of that field."""
+    p, nvars = draw(st.sampled_from(_PRIMES)), draw(st.sampled_from((1, 2)))
+    return (p, nvars, draw(_built_poly(p, nvars)), draw(_built_poly(p, nvars)),
+            draw(_coef(p)))
+
+
+def _assert_matches(poly: Poly, model: dict, p, nvars: int):
+    field = _field(p)
+    assert poly.terms == model
+    assert all(type(c) is type(field.zero) for c in poly.terms.values())
+    assert poly == Poly(field, nvars, model)
+    assert hash(poly) == hash((field, nvars, frozenset(model.items())))
+    assert poly_to_json(poly) == {"vars": nvars, "terms": [
+        {"exp": list(k), "coef": _m_json(c, p)} for k, c in sorted(model.items())]}
     assert poly.is_zero() == (not model)
-    assert poly.degree() == max(model, default=None)
-    if max(model, default=0) <= _DENSE_CAP:
+    assert poly.degree() == max(map(sum, model), default=None)
+    if nvars == 1 and max(model, default=(0,))[0] <= _DENSE_CAP:
         assert poly.coeffs_univariate() == [
-            model.get(k, Fraction(0)) for k in range(max(model, default=-1) + 1)]
-    # the cleared form: D is the lcm of the reduced denominators, so no
-    # factor is shared by D and every numerator
-    den = poly._denominator
-    assert den == math.lcm(*(c.denominator for c in model.values()))
-    assert poly._numerators == {k: c.numerator * (den // c.denominator)
-                                for k, c in model.items()}
-    assert math.gcd(den, *poly._numerators.values()) == 1
+            model.get((k,), 0) for k in range(max(model, default=(-1,))[0] + 1)]
+    # the storage form: integer numerators keyed by exponent (an int in one
+    # variable) over D.  Over GF(p) D = 1 and the numerators are residues;
+    # over Q D is the lcm of the reduced denominators, so no factor is
+    # shared by D and every numerator
+    den, numerators = poly._denominator, poly._numerators
+    keyed = {(k[0] if nvars == 1 else k): c for k, c in model.items()}
+    assert all(type(n) is int for n in numerators.values())
+    if p is not None:
+        assert den == 1 and numerators == keyed
+        assert all(0 < n < p for n in numerators.values())
+    else:
+        assert den == math.lcm(*(c.denominator for c in model.values()))
+        assert numerators == {k: c.numerator * (den // c.denominator) for k, c in keyed.items()}
+        assert math.gcd(den, *numerators.values()) == 1
 
 
-_ONE_PLUS_Z = (Poly(QQ, 1, {(0,): 1, (1,): 1}), {0: Fraction(1), 1: Fraction(1)})
-_ONE_MINUS_Z = (Poly.univariate(QQ, [1, -1]), {0: Fraction(1), 1: Fraction(-1)})
-_HALF_Z = (Poly(QQ, 1, {(1,): Fraction(1, 2)}), {1: Fraction(1, 2)})
+def _given(p, nvars: int, model: dict) -> tuple:
+    return Poly(_field(p), nvars, model), model
 
 
-@settings(max_examples=200, deadline=None)
-@given(_built_poly(), _built_poly(), _COEF, st.data())
-@example(_ONE_PLUS_Z, _ONE_MINUS_Z, Fraction(2), None)
-@example(_HALF_Z, (Poly(QQ, 1, {(0,): 2}), {0: Fraction(2)}), Fraction(1, 2), None)
-@example(_HALF_Z, _HALF_Z, Fraction(0), None)
-@example((Poly(QQ, 1, {(10 ** 9,): Fraction(1, 3), (0,): Fraction(1, 6)}),
-          {10 ** 9: Fraction(1, 3), 0: Fraction(1, 6)}),
-         (Poly(QQ, 1, {(10 ** 9,): 3, (0,): Fraction(-3, 2)}),
-          {10 ** 9: Fraction(3), 0: Fraction(-3, 2)}), Fraction(-5, 4), None)
-def test_cleared_form_matches_the_fraction_dict_model(f_built, g_built, c, data):
-    (f, mf), (g, mg) = f_built, g_built
-    for poly, model in [(f, mf), (g, mg), (f + g, _m_add(mf, mg)),
-                        (f - g, _m_add(mf, _m_neg(mg))), (-f, _m_neg(mf)),
-                        (f * g, _m_mul(mf, mg)), (g * f, _m_mul(mf, mg)),
-                        (f.scale(c), _m_scale(mf, c))]:
-        _assert_matches(poly, model)
+_ONE_PLUS_Z = _given(None, 1, {(0,): Fraction(1), (1,): Fraction(1)})
+_ONE_MINUS_Z = (Poly.univariate(QQ, [1, -1]), {(0,): Fraction(1), (1,): Fraction(-1)})
+_HALF_Z = _given(None, 1, {(1,): Fraction(1, 2)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_pairs(), st.data())
+@example((None, 1, _ONE_PLUS_Z, _ONE_MINUS_Z, Fraction(2)), None)
+@example((None, 1, _HALF_Z, _given(None, 1, {(0,): Fraction(2)}), Fraction(1, 2)), None)
+@example((None, 1, _HALF_Z, _HALF_Z, Fraction(0)), None)
+@example((None, 1, _given(None, 1, {(10 ** 9,): Fraction(1, 3), (0,): Fraction(1, 6)}),
+          _given(None, 1, {(10 ** 9,): Fraction(3), (0,): Fraction(-3, 2)}), Fraction(-5, 4)),
+         None)
+@example((2, 1, _given(2, 1, {(0,): 1, (1,): 1}), _given(2, 1, {(0,): 1, (1,): 1}), 3), None)
+@example((5, 2, _given(5, 2, {(1, 0): 2, (0, 1): 3}), _given(5, 2, {(1, 0): 3, (0, 2): 2}), 10),
+         None)
+@example((None, 2, _given(None, 2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4)}),
+          _given(None, 2, {(1, 0): Fraction(-1, 2), (0, 0): Fraction(1, 6)}), Fraction(4)), None)
+def test_cleared_form_matches_the_fraction_dict_model(case, data):
+    p, nvars, (f, mf), (g, mg), c = case
+    for poly, model in [(f, mf), (g, mg), (f + g, _m_add(mf, mg, p)),
+                        (f - g, _m_add(mf, _m_neg(mg, p), p)), (-f, _m_neg(mf, p)),
+                        (f * g, _m_mul(mf, mg, p)), (g * f, _m_mul(mf, mg, p)),
+                        (f.scale(c), _m_scale(mf, c, p))]:
+        _assert_matches(poly, model, p, nvars)
     assert (f == g) == (mf == mg)
-    if max([*mf, *mg, 0]) <= _DENSE_CAP:
-        points = _X
+    field = _field(p)
+    if p is not None:
+        scalars = _RESIDUE
+    elif max([e for k in [*mf, *mg] for e in k], default=0) <= _DENSE_CAP:
+        scalars = _X
     else:  # a huge power is exact only at -1, 0 and 1
-        points = st.sampled_from([Fraction(t) for t in (-1, 0, 1)])
-    x, a, b = [Fraction(-1), Fraction(0), Fraction(1)] if data is None else [
-        data.draw(points) for _ in range(3)]
-    assert f.evaluate((x,)) == _m_eval(mf, x)
-    if a != b:
+        scalars = st.sampled_from([Fraction(t) for t in (-1, 0, 1)])
+    if data is None:
+        point, a, b = (field.from_int(-1),) * nvars, field.zero, field.one
+    else:
+        point = tuple(data.draw(scalars) for _ in range(nvars))
+        a, b = data.draw(scalars), data.draw(scalars)
+    value = f.evaluate(point)
+    assert type(value) is type(field.zero) and value == _m_eval(mf, point, p)
+    if p is None and nvars == 1 and a != b:
         assert exact_integral(f, IntegralConfig(a, b, g)) == _m_integral(mf, mg, a, b)
+
+
+@pytest.mark.parametrize("field, nvars", [(GF(5), 1), (QQ, 1), (GF(5), 2), (QQ, 2)],
+                         ids=["GF5-1var", "Q-1var", "GF5-2vars", "Q-2vars"])
+def test_writing_to_terms_leaves_the_polynomial_alone(field, nvars):
+    terms = {(1,) * nvars: 1, (0,) * nvars: 3}
+    p = Poly(field, nvars, terms)
+    p.terms[(0,) * nvars] = field.zero
+    p.terms[(2,) * nvars] = field.one
+    del p.terms[(1,) * nvars]
+    assert p == Poly(field, nvars, terms)
+    assert p.terms == Poly(field, nvars, terms).terms
 
 
 def test_chained_products_keep_the_denominator_at_the_lcm():
