@@ -295,21 +295,29 @@ class Algebra:
 
     # -- generated ideals and radicals --------------------------------------------
 
+    def theta_multiples(self, elements, theta: str) -> Iterator[tuple]:
+        """(a, b, c, b*a*c) for each a of `elements` in turn, over the basis
+        multipliers of side `theta` (normalized) in witness order: b*a for
+        "left", a*c for "right", both for "pre" (left first), b*a*c for "two";
+        a multiplier the side does not use is None."""
+        multiply, basis = self.multiply, self._basis
+        left, right = theta in ("left", "pre"), theta in ("right", "pre")
+        for a in elements:
+            if left:
+                for b in basis:
+                    yield a, b, None, multiply(b, a)
+            if right:
+                for c in basis:
+                    yield a, None, c, multiply(a, c)
+            if theta == "two":
+                for b in basis:
+                    ba = multiply(b, a)
+                    for c in basis:
+                        yield a, b, c, multiply(ba, c)
+
     def theta_ideal_generated(self, a: Sequence, theta: str) -> Subspace:
-        theta = normalize_theta(theta)
-        basis = self._basis
-        a = tuple(a)
-        if theta == "left":
-            gens = [self.multiply(b, a) for b in basis]
-        elif theta == "right":
-            gens = [self.multiply(a, b) for b in basis]
-        elif theta == "pre":
-            gens = [self.multiply(b, a) for b in basis]
-            gens += [self.multiply(a, b) for b in basis]
-        else:
-            gens = [self.multiply(self.multiply(b, a), c)
-                    for b in basis for c in basis]
-        return Subspace(self.field, self.dim, gens)
+        multiples = self.theta_multiples([tuple(a)], normalize_theta(theta))
+        return Subspace(self.field, self.dim, [m for *_, m in multiples])
 
     def radical_of_subspace(self, j: Subspace, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         """All a whose whole power cycle lies in J (tail membership irrelevant)."""
@@ -335,17 +343,11 @@ def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict |
     algebra._check_subspace(j)
     if j.is_full():
         return None
-    basis = algebra._basis
-    if theta in ("left", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(b, v)):
-                    return {"kind": "ideal", "element": v, "left": b, "right": None}
-    if theta in ("right", "pre", "two"):
-        for v in j.basis:
-            for b in basis:
-                if not j.contains(algebra.multiply(v, b)):
-                    return {"kind": "ideal", "element": v, "left": None, "right": b}
+    contains = j.contains
+    for side in ("left", "right") if theta in ("pre", "two") else (theta,):
+        for v, b, c, m in algebra.theta_multiples(j.basis, side):
+            if not contains(m):
+                return {"kind": "ideal", "element": v, "left": b, "right": c}
     return None
 
 

@@ -282,6 +282,8 @@ def cmd_verify_paper(args):
 
 def cmd_verify_witness(args):
     obj = load_json(args.input)
+    if not isinstance(obj, dict):
+        raise SchemaError("witness file: the top level must be a JSON object")
     if "algebra" in obj:
         algebra = algebra_from_json(obj["algebra"])
     elif "algebra_builder" in obj:

@@ -203,27 +203,10 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     algebra._check_subspace(j)
     if j.is_full():
         return MathieuVerdict(True)
-    basis = algebra._basis
-    for e in algebra.idempotents(cap):
-        if not j.contains(e):
-            continue
-        if theta in ("left", "pre"):
-            for b in basis:
-                if not j.contains(algebra.multiply(b, e)):
-                    return MathieuVerdict(False, {
-                        "kind": "mathieu", "a": e, "b": b, "c": None, "power": 1})
-        if theta in ("right", "pre"):
-            for c in basis:
-                if not j.contains(algebra.multiply(e, c)):
-                    return MathieuVerdict(False, {
-                        "kind": "mathieu", "a": e, "b": None, "c": c, "power": 1})
-        if theta == "two":
-            for b in basis:
-                be = algebra.multiply(b, e)
-                for c in basis:
-                    if not j.contains(algebra.multiply(be, c)):
-                        return MathieuVerdict(False, {
-                            "kind": "mathieu", "a": e, "b": b, "c": c, "power": 1})
+    contains = j.contains
+    for e, b, c, m in algebra.theta_multiples(filter(contains, algebra.idempotents(cap)), theta):
+        if not contains(m):
+            return MathieuVerdict(False, {"kind": "mathieu", "a": e, "b": b, "c": c, "power": 1})
     return MathieuVerdict(True)
 
 

@@ -102,11 +102,7 @@ class ModuleSpace:
         """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra."""
         self._check_subspace(n_space)
         _check_length(u, self.dim, "module element")
-        resid = residual_matrix(n_space)
-        if not resid:
-            return Subspace.full(self.field, self.algebra.dim)
-        rows = mat_mul(self.field, resid, self._images(u))
-        return solve_right_kernel(self.field, rows, self.algebra.dim)
+        return preimage_subspace(self.field, self._images(u), n_space, self.algebra.dim)
 
     def colon_classes(self, n_space: Subspace) -> "ColonClasses":
         """The colon spaces of N, one per class of u; kept for the last

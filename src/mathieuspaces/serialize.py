@@ -134,8 +134,7 @@ def module_to_json(m: ModuleSpace) -> dict:
 
 def subspace_from_json(field: Field, obj) -> Subspace:
     ambient = _require(obj, "ambient", "subspace")
-    basis = _require(obj, "basis", "subspace")
-    rows = [parse_vector(field, row, f"subspace.basis[{i}]") for i, row in enumerate(basis)]
+    rows = parse_matrix(field, _require(obj, "basis", "subspace"), "subspace.basis")
     try:
         return Subspace(field, ambient, rows)
     except ValueError as exc:
@@ -220,11 +219,10 @@ def poly_to_json(p: Poly) -> dict:
 
 def eval_config_from_json(obj) -> EvalConfig:
     field = parse_field(_require(obj, "field", "eval config"))
-    points = [parse_vector(field, p, f"points[{i}]")
-              for i, p in enumerate(_require(obj, "points", "eval config"))]
+    points = parse_matrix(field, _require(obj, "points", "eval config"), "points")
     alpha = parse_vector(field, _require(obj, "alpha", "eval config"), "alpha")
     try:
-        return EvalConfig(field, tuple(points), alpha)
+        return EvalConfig(field, points, alpha)
     except ValueError as exc:
         raise SchemaError(f"eval config: {exc}") from exc
 

@@ -203,6 +203,12 @@ def _timed_entry(check: str, instance: str, claim: str, expected, ok, scan) -> C
                       runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
+def _skipped_entry(check: str, instance: str, claim: str) -> CheckEntry:
+    """The passing entry of an instance whose element count exceeds the cap."""
+    return CheckEntry(check=check, instance=instance, claim=claim, expected="skipped",
+                      computed="skipped: element count exceeds cap", passed=True)
+
+
 def _sets(module, n_space: Subspace, theta: str, cap: int) -> tuple:
     """(sigma, tau) of N as frozensets."""
     return (frozenset(sigma(module, n_space, theta, cap)),
@@ -271,10 +277,7 @@ def check_column_module_sets(profile: Profile) -> list:
         for n in profile.matrix_sizes:
             instance_base = f"p={p} n={n}"
             if p ** (n * n) > profile.element_cap:
-                entries.append(CheckEntry(
-                    check="column-module-sets", instance=instance_base, claim=claim,
-                    expected="skipped", computed="skipped: element count exceeds cap",
-                    passed=True))
+                entries.append(_skipped_entry("column-module-sets", instance_base, claim))
                 continue
             fld = GF(p)
             module = column_module(matrix_algebra(n, p), n)
@@ -337,6 +340,7 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
              "identity exactly when the characteristic exceeds n")
     for p in profile.primes:
         if p ** (n * n) > profile.element_cap:
+            entries.append(_skipped_entry("trace-hyperplane-sets", f"M_{n}(GF({p}))", claim))
             continue
         fld = GF(p)
         module = natural_module(matrix_algebra(n, p))

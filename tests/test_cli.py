@@ -925,3 +925,30 @@ def test_an_empty_denominator_exits_two(capsys):
     assert code == 2 and out == ""
     assert "bad rational literal: '1/'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb, payload, named", [
+    ("is-ideal", {"ambient": 4, "basis": 5}, "subspace.basis: expected a JSON array"),
+    ("is-ideal", {"ambient": 4, "basis": None}, "subspace.basis: expected a JSON array"),
+    ("nba", {**_NBA_CONFIG, "points": 5}, "points: expected a JSON array"),
+    ("nba", {**_NBA_CONFIG, "points": None}, "points: expected a JSON array"),
+    ("verify-witness", "algebra", "top level must be a JSON object"),
+    ("verify-witness", 5, "top level must be a JSON object"),
+], ids=["basis-number", "basis-null", "points-number", "points-null",
+        "witness-file-string", "witness-file-number"])
+def test_a_non_array_or_non_object_input_exits_two(tmp_path, capsys, verb, payload, named):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if verb == "is-ideal":
+        alg_path = tmp_path / "m2f2.json"
+        run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+        argv = [verb, "--algebra", str(alg_path), "--subspace", str(path)]
+    elif verb == "nba":
+        (tmp_path / "poly.json").write_text(json.dumps(_ONE))
+        argv = [verb, "member", "--config", str(path), "--poly", str(tmp_path / "poly.json")]
+    else:
+        argv = [verb, "--input", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err
+    assert "Traceback" not in err

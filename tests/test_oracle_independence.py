@@ -1,7 +1,9 @@
 """Every oracle shares no code with the fast paths it referees.
 
 `is_theta_mathieu_bruteforce` is the oracle the idempotent decider and the
-memoized bulk verdicts are refereed against.  In the battery,
+memoized bulk verdicts are refereed against, and `verify_mathieu_witness`
+re-validates every negative verdict; neither walks `Algebra.theta_multiples`,
+the side rule of the deciders they referee.  In the battery,
 `_fixpoint_submodule` referees the kernel behind `max_submodule`,
 `_flat_matmul` the library's matrix products, and `_horner_eval`,
 `_double_sum_integral`, `_independent_twist` and `_subset_sums_nonzero` the
@@ -26,7 +28,11 @@ _POLY_FAST_PATHS = frozenset({
 ORACLES = [
     ("mathieu.py", "is_theta_mathieu_bruteforce", frozenset({
         "idempotents", "is_theta_mathieu_idempotent", "decide", "_witness", "_memo",
-        "colon", "colon_classes", "theta_ideal_generated",
+        "colon", "colon_classes", "theta_ideal_generated", "theta_multiples",
+    })),
+    ("mathieu.py", "verify_mathieu_witness", frozenset({
+        "theta_multiples", "idempotents", "is_theta_mathieu_idempotent",
+        "ideal_violation_witness", "theta_ideal_generated", "decide", "_witness", "_memo",
     })),
     ("verify.py", "_fixpoint_submodule", frozenset({
         "max_submodule", "colon_classes", "ColonClasses", "submodule", "_forms",

@@ -14,7 +14,13 @@ from types import SimpleNamespace
 import pytest
 
 from mathieuspaces import verify
-from mathieuspaces.verify import SUITE, Profile, check_column_module_sets, run_suite
+from mathieuspaces.verify import (
+    SUITE,
+    Profile,
+    check_column_module_sets,
+    check_trace_hyperplane_sets,
+    run_suite,
+)
 
 SMALL = Profile(primes=(2, 3), subspace_samples=3, pair_samples=24, hom_samples=8,
                 eval_configs=60, poly_samples=3, integral_samples=5)
@@ -81,10 +87,15 @@ def test_entries_carry_their_check_name(name, fn):
     assert {e.check for e in entries} == {name}
 
 
-def test_column_module_skipped_entry_is_labelled():
-    entries = check_column_module_sets(Profile(primes=(2,), element_cap=8))
-    assert [(e.check, e.expected, e.passed) for e in entries] == [
-        ("column-module-sets", "skipped", True)]
+@pytest.mark.parametrize("name, check, profile", [
+    ("column-module-sets", check_column_module_sets, Profile(primes=(2,), element_cap=8)),
+    ("trace-hyperplane-sets", check_trace_hyperplane_sets,
+     Profile(primes=(5,), element_cap=600)),
+], ids=["column-module-sets", "trace-hyperplane-sets"])
+def test_column_module_skipped_entry_is_labelled(name, check, profile):
+    entries = check(profile)
+    assert [(e.check, e.expected, e.computed, e.passed) for e in entries] == [
+        (name, "skipped", "skipped: element count exceeds cap", True)]
 
 
 def test_max_submodule_entry_fails_when_the_kernel_leaves_the_fixpoint(monkeypatch):
