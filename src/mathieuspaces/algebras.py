@@ -18,6 +18,7 @@ from .linalg import (
     EnumerationCapExceeded,
     Subspace,
     enumerate_vectors,
+    form_indices,
     index_to_vector,
     mat_vec,
     residual_matrix,
@@ -114,6 +115,9 @@ class Algebra:
         self._table: list | None = None
         self._trajectories: dict = {}  # at most TABLE_MAX_ELEMENTS, see trajectory_indices
         self._idempotents: tuple | None = None
+        # (side, idempotent e) -> basis rows of the theta-ideal e generates, filled
+        # by the idempotent decider; at most 4 x the idempotent count
+        self._idempotent_ideals: dict = {}
         self._memo = BoundedMemo(VERDICT_MEMO_SIZE)
         if check:
             self._validate()
@@ -209,21 +213,13 @@ class Algebra:
         if count is None or count > TABLE_MAX_ELEMENTS:  # over Q, or too large
             return None
         # The product is bilinear: coordinate k of a*b is the linear form
-        # b -> sum_j b_j (a*e_j)[k].  Each distinct form is evaluated on all b
-        # once, and a row's indices are assembled digit by digit, big-endian
-        # like index_of.
-        p = self.field.p
-        form_values: dict = {}
+        # b -> sum_j b_j (a*e_j)[k], and each distinct form is evaluated on
+        # all b once.
+        p, values_of = self.field.p, {}
         table = []
         for a in self.element_list():
-            cols = [self.multiply(a, e) for e in self._basis]
-            row = [0] * count
-            for form in zip(*cols):
-                values = form_values.get(form)
-                if values is None:
-                    values = form_values[form] = _form_values(form, p)
-                row = [r * p + v for r, v in zip(row, values)]
-            table.append(row)
+            forms = zip(*[self.multiply(a, e) for e in self._basis])
+            table.append(form_indices(forms, self.dim, p, values_of))
         self._table = table
         return table
 
@@ -349,15 +345,6 @@ def ideal_violation_witness(algebra: Algebra, j: Subspace, theta: str) -> dict |
             if not contains(m):
                 return {"kind": "ideal", "element": v, "left": b, "right": c}
     return None
-
-
-def _form_values(form: tuple, p: int) -> list:
-    """The values of b -> sum_j form[j] * b_j mod p over all b, in index order."""
-    values = [0]
-    for f in form:
-        steps = [d * f % p for d in range(p)]
-        values = [(v + s) % p for v in values for s in steps]
-    return values
 
 
 # -- builders --------------------------------------------------------------------

@@ -215,6 +215,15 @@ class Subspace:
         for coeffs in itertools.product(range(p), repeat=len(self.basis)):
             yield tuple(sum(map(_mul, coeffs, col)) % p for col in cols)
 
+    def element_indices(self) -> list:
+        """The `vector_to_index` of every vector of the subspace (finite fields
+        only), in `elements()` order: coordinate t of an element is the linear
+        form column t of the basis takes on the element's coefficients."""
+        p = self.field.p
+        if p is None:
+            raise ValueError("element indices need a finite field")
+        return form_indices(zip(*self.basis), len(self.basis), p, {})
+
     def to_json(self):
         f = self.field
         return {
@@ -380,6 +389,29 @@ def vector_to_index(field: Field, v: Sequence) -> int:
     for d in v:
         idx = idx * p + d
     return idx
+
+
+def form_indices(forms, width: int, p: int, values_of: dict) -> list:
+    """For every b of F_p^width in index order, the index of the vector whose
+    coordinate t is form t of `forms` at b, sum_j form[j] * b_j mod p.  The
+    index is assembled digit by digit, big-endian like `vector_to_index`;
+    `values_of` keeps the values of each distinct form for the next call."""
+    out = [0] * p ** width
+    for form in forms:
+        values = values_of.get(form)
+        if values is None:
+            values = values_of[form] = _form_values(form, p)
+        out = [r * p + v for r, v in zip(out, values)]
+    return out
+
+
+def _form_values(form: Sequence, p: int) -> list:
+    """The values of b -> sum_j form[j] * b_j mod p over all b, in index order."""
+    values = [0]
+    for f in form:
+        steps = [d * f % p for d in range(p)]
+        values = [(v + s) % p for v in values for s in steps]
+    return values
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:

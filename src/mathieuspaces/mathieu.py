@@ -108,10 +108,11 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     whose multiplier scan already passed in this decision, and a product
     b*x already scanned for a smaller b.
 
-    The scan runs on element indices, with J as a bitmap.  Only products and
-    power trajectories depend on the algebra's kind: they are read from the
-    multiplication table when it has one, and computed one at a time
-    otherwise, so that a failing scan stops at the first escape.
+    The scan runs on element indices, with J as a bitmap filled from
+    `Subspace.element_indices`.  Only products and power trajectories depend
+    on the algebra's kind: they are read from the multiplication table when
+    it has one, and computed one at a time otherwise, so that a failing scan
+    stops at the first escape.
     """
     theta = normalize_theta(theta)
     count = algebra.element_count(cap)
@@ -120,8 +121,8 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
         return MathieuVerdict(True)
     index_of = algebra.index_of
     mem = bytearray(count)
-    for v in j.elements():
-        mem[index_of(v)] = 1
+    for idx in j.element_indices():
+        mem[idx] = 1
     table = algebra.mult_table()
     if table is not None:
         trajectory = algebra.trajectory_indices
@@ -196,7 +197,10 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
 
     Valid here because finite-dimensional algebras over a field are algebraic.
     The whole algebra is Mathieu without a scan, once the field and the cap
-    would admit one.
+    would admit one.  The theta-ideal of an idempotent does not depend on J, so
+    its basis rows are cached on the algebra the first time the idempotent
+    turns up in some J; only an idempotent whose ideal escapes J has its
+    theta-multiples walked, for the first one outside J, the witness.
     """
     theta = normalize_theta(theta)
     algebra.element_count(cap)
@@ -204,9 +208,17 @@ def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
     if j.is_full():
         return MathieuVerdict(True)
     contains = j.contains
-    for e, b, c, m in algebra.theta_multiples(filter(contains, algebra.idempotents(cap)), theta):
-        if not contains(m):
-            return MathieuVerdict(False, {"kind": "mathieu", "a": e, "b": b, "c": c, "power": 1})
+    ideals = algebra._idempotent_ideals
+    for e in filter(contains, algebra.idempotents(cap)):
+        rows = ideals.get((theta, e))
+        if rows is None:
+            rows = ideals[theta, e] = algebra.theta_ideal_generated(e, theta).basis
+        if all(map(contains, rows)):
+            continue
+        for _, b, c, m in algebra.theta_multiples([e], theta):
+            if not contains(m):
+                return MathieuVerdict(False, {"kind": "mathieu", "a": e, "b": b, "c": c,
+                                              "power": 1})
     return MathieuVerdict(True)
 
 

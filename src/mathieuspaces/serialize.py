@@ -134,6 +134,8 @@ def module_to_json(m: ModuleSpace) -> dict:
 
 def subspace_from_json(field: Field, obj) -> Subspace:
     ambient = _require(obj, "ambient", "subspace")
+    if type(ambient) is not int:  # a float such as 4.0 would compare equal to 4
+        raise SchemaError(f"subspace.ambient: expected an integer, got {ambient!r}")
     rows = parse_matrix(field, _require(obj, "basis", "subspace"), "subspace.basis")
     try:
         return Subspace(field, ambient, rows)

@@ -476,10 +476,27 @@ def test_is_ideal_refuses_a_subspace_outside_the_algebra(tmp_path, capsys, subsp
     code, out, err = run_cli(capsys, "is-ideal", "--algebra", str(alg_path),
                              "--subspace", str(sub_path))
     assert (code, out) == (2, "")
-    assert "does not live in this algebra" in err
+    # an ambient that is no integer is refused by the schema, before the algebra
+    named = ("does not live in this algebra" if type(subspace["ambient"]) is int
+             else "subspace.ambient: expected an integer")
+    assert named in err
     j = Subspace(GF(2), subspace["ambient"], [])
     with pytest.raises(ValueError, match="does not live in this algebra"):
         ideal_violation_witness(matrix_algebra(2, 2), j, "two")
+
+
+@pytest.mark.parametrize("ambient", [4.0, True], ids=["float", "bool"])
+def test_is_ideal_refuses_an_ambient_that_is_no_integer(tmp_path, capsys, ambient):
+    alg_path = tmp_path / "m2f2.json"
+    run_cli(capsys, "gen", "matrix", "--n", "2", "--p", "2", "--out", str(alg_path))
+    sub_path = tmp_path / "j.json"
+    sub_path.write_text(json.dumps({"ambient": ambient, "basis": []}))
+    code, out, err = run_cli(capsys, "is-ideal", "--algebra", str(alg_path),
+                             "--subspace", str(sub_path))
+    assert (code, out) == (2, "")
+    assert f"subspace.ambient: expected an integer, got {ambient!r}" in err
+    with pytest.raises(SchemaError, match="subspace.ambient"):
+        subspace_from_json(GF(2), {"ambient": ambient, "basis": []})
 
 
 @pytest.mark.parametrize("check", [

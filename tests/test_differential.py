@@ -472,3 +472,48 @@ def test_bruteforce_scan_without_a_table_against_the_unpruned_loop():
             assert is_theta_mathieu_bruteforce(algebra, j, theta) == expected, (j.basis, theta)
     assert algebra.mult_table() is None
     assert algebra._trajectories == {}
+
+
+def uncached_idempotent_walk(algebra, j, theta):
+    """The idempotent criterion with no cache: for each idempotent e in J in
+    index order, every theta-multiple b*e*c in witness order, the first one
+    outside J named as the witness."""
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    left, right = [(b, None) for b in basis], [(None, c) for c in basis]
+    multipliers = {"left": left, "right": right, "pre": left + right,
+                   "two": [(b, c) for b in basis for c in basis]}[theta]
+    for e in algebra.elements():
+        if algebra.multiply(e, e) != e or not j.contains(e):
+            continue
+        for b, c in multipliers:
+            m = e if b is None else algebra.multiply(b, e)
+            m = m if c is None else algebra.multiply(m, c)
+            if not j.contains(m):
+                return MathieuVerdict(False, {"kind": "mathieu", "a": e, "b": b, "c": c,
+                                              "power": 1})
+    return MathieuVerdict(True)
+
+
+@pytest.mark.parametrize("spec", [("matrix", 2, 3), ("upper", 3, 2), ("product", 4, 3)],
+                         ids=["M_2(GF(3))", "UT_3(GF(2))", "GF(3)^4"])
+def test_cached_idempotent_ideals_against_the_uncached_walk(spec):
+    """Every subspace on every side, decided cold and then warm on one algebra,
+    and in reverse order on a fresh one: the verdict and witness of the
+    uncached walk each time, with at most one cached ideal per side and
+    idempotent."""
+    algebra = builder_spec_to_algebra(spec)
+    spaces = list(enumerate_subspaces(algebra.field, algebra.dim))
+    expected = {theta: [uncached_idempotent_walk(algebra, j, theta) for j in spaces]
+                for theta in THETAS}
+    assert any(not v for verdicts in expected.values() for v in verdicts)
+    bound = 4 * len(algebra.idempotents())
+    for order in ("cold", "warm"):
+        for theta in THETAS:
+            got = [is_theta_mathieu_idempotent(algebra, j, theta) for j in spaces]
+            assert got == expected[theta], (order, theta)
+        assert 0 < len(algebra._idempotent_ideals) <= bound
+    fresh = builder_spec_to_algebra(spec)
+    for theta in reversed(THETAS):
+        for j, verdict in zip(reversed(spaces), reversed(expected[theta])):
+            assert is_theta_mathieu_idempotent(fresh, j, theta) == verdict, (theta, j.basis)
+    assert fresh._idempotent_ideals == algebra._idempotent_ideals

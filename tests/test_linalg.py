@@ -26,6 +26,7 @@ from mathieuspaces.linalg import (
     subspace_count,
     subspace_intersect,
     subspace_sum,
+    vector_to_index,
 )
 
 F2, F3 = GF(2), GF(3)
@@ -396,6 +397,23 @@ def test_subspace_elements_in_coefficient_order(p):
 def test_rational_subspace_elements_refused():
     with pytest.raises(ValueError):
         next(Subspace(QQ, 2, [(1, 2)]).elements())
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2)])
+def test_element_indices_are_the_indices_of_the_elements_in_order(p, n):
+    """Every subspace, the zero and the full one included: the digit-by-digit
+    indices equal `vector_to_index` of `elements()`, order included."""
+    field = GF(p)
+    spaces = list(enumerate_subspaces(field, n))
+    assert spaces[0].is_zero() and spaces[-1].is_full()
+    for s in spaces:
+        assert s.element_indices() == [vector_to_index(field, v) for v in s.elements()]
+    assert Subspace.full(field, n).element_indices() == list(range(p ** n))
+
+
+def test_rational_element_indices_refused():
+    with pytest.raises(ValueError, match="finite field"):
+        Subspace(QQ, 2, [(1, 2)]).element_indices()
 
 
 def test_bounded_memo_drops_the_oldest_first():

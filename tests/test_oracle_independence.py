@@ -3,7 +3,8 @@
 `is_theta_mathieu_bruteforce` is the oracle the idempotent decider and the
 memoized bulk verdicts are refereed against, and `verify_mathieu_witness`
 re-validates every negative verdict; neither walks `Algebra.theta_multiples`,
-the side rule of the deciders they referee.  In the battery,
+the side rule of the deciders they referee, nor reads the theta-ideals the
+idempotent decider caches on the algebra.  In the battery,
 `_fixpoint_submodule` referees the kernel behind `max_submodule`,
 `_flat_matmul` the library's matrix products, and `_horner_eval`,
 `_double_sum_integral`, `_independent_twist` and `_subset_sums_nonzero` the
@@ -29,10 +30,12 @@ ORACLES = [
     ("mathieu.py", "is_theta_mathieu_bruteforce", frozenset({
         "idempotents", "is_theta_mathieu_idempotent", "decide", "_witness", "_memo",
         "colon", "colon_classes", "theta_ideal_generated", "theta_multiples",
+        "_idempotent_ideals",
     })),
     ("mathieu.py", "verify_mathieu_witness", frozenset({
         "theta_multiples", "idempotents", "is_theta_mathieu_idempotent",
         "ideal_violation_witness", "theta_ideal_generated", "decide", "_witness", "_memo",
+        "_idempotent_ideals",
     })),
     ("verify.py", "_fixpoint_submodule", frozenset({
         "max_submodule", "colon_classes", "ColonClasses", "submodule", "_forms",
