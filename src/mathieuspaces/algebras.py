@@ -21,7 +21,6 @@ from .linalg import (
     form_indices,
     index_to_vector,
     mat_vec,
-    residual_matrix,
     vector_count,
     vector_to_index,
     zero_vector,
@@ -471,16 +470,14 @@ def quotient_algebra(a: Algebra, i_space: Subspace):
     if ideal_violation_witness(a, i_space, "two") is not None:
         raise ValueError("quotient requires a two-sided ideal")
     field = a.field
-    proj = residual_matrix(i_space)
-    pivot_set = set(i_space.pivots)
-    free_cols = [c for c in range(a.dim) if c not in pivot_set]
-    qdim = len(free_cols)
+    proj, free = i_space.residual, i_space.free
+    qdim = len(free)
 
     def project(v):
         return mat_vec(field, proj, v)
 
     def section(coord_idx):
-        return a.basis_vector(free_cols[coord_idx])
+        return a.basis_vector(free[coord_idx])
 
     structure = [[project(a.multiply(section(i), section(j)))
                   for j in range(qdim)] for i in range(qdim)]

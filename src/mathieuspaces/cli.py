@@ -272,7 +272,7 @@ def cmd_verify_paper(args):
         profile = Profile.from_json(load_json(args.profile))
     else:
         profile = Profile()
-    if args.cap != DEFAULT_ELEMENT_CAP:
+    if args.cap is not None:
         profile = dataclasses.replace(profile, element_cap=args.cap)
     report = run_suite(profile, jobs=args.jobs)
     with_timing = not args.no_timing
@@ -375,7 +375,8 @@ VERBS = {
         _arg("--jobs", type=int, default=1),
         _arg("--no-timing", action="store_true",
              help="omit runtime fields for byte-stable output"),
-    ), {}),
+        _arg("--cap", type=int, help="enumeration cap override"),
+    ), {"cap": False}),
     "verify-witness": ("re-validate an embedded failure witness", cmd_verify_witness,
                        (_arg("--input", required=True),), {"cap": False}),
 }

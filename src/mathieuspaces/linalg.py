@@ -2,8 +2,9 @@
 
 Vectors are tuples of scalars, matrices are tuples of row tuples.  Every
 subspace is stored as its reduced row-echelon basis, so set equality is
-structural equality.  Over GF(p) membership is one dot product per row of
-the residual matrix (codim of them); over Q it is a single reduction pass.
+structural equality.  Every "lands in N" decision reads one map, the
+residual rows of N (`Subspace.residual`): membership, reduction, kernels,
+intersections and preimages over GF(p) and Q alike.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_residual")
 
     def __init__(self, field: Field, ambient_dim: int, rows: Sequence[Sequence] = ()):
+        if type(ambient_dim) is not int or ambient_dim < 0:
+            raise ValueError(
+                f"ambient dimension must be a nonnegative integer, got {ambient_dim!r}")
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
@@ -167,34 +171,41 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self.basis) == self.ambient_dim
 
+    @property
+    def residual(self) -> tuple:
+        """The rows of v -> (v mod N) on the free columns: row fc is
+        e_fc - sum_i basis_i[fc] e_(pivot i).  N is their kernel, and they
+        span its annihilator."""
+        return (self._residual or self._build_residual())[1]
+
+    @property
+    def free(self) -> tuple:
+        """The non-pivot columns, one per row of `residual`."""
+        return (self._residual or self._build_residual())[0]
+
+    def _build_residual(self) -> tuple:
+        """(free, residual), built once per subspace, on first use."""
+        self._residual = _residual_map(self.field, self.ambient_dim, self.basis, self.pivots)
+        return self._residual
+
     def reduce(self, v: Sequence) -> tuple:
-        """Residual of v after subtracting its projection on the basis."""
+        """v mod N: the residual of v on the free columns, zero on the pivots."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        # The basis is reduced, so the coefficient of row i is v[pivot_i]:
-        # subtract every multiple at once, and over GF(p) reduce each entry once.
-        w = list(v)
-        for row, piv in zip(self.basis, self.pivots):
-            f = v[piv]
-            if f:
-                w = [x - f * y for x, y in zip(w, row)]
-        p = self.field.p
-        if p is None:
-            return tuple(w)
-        return tuple(x % p for x in w)
+        w = [self.field.zero] * self.ambient_dim
+        for c, x in zip(self.free, mat_vec(self.field, self.residual, v)):
+            w[c] = x
+        return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
-        p = self.field.p
-        if p is None:
-            return not any(self.reduce(v))
+        """v lies in N iff every residual coordinate of v vanishes; the test
+        stops at the first one that does not."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        # v lies in the subspace iff every residual coordinate of v vanishes
-        rows = self._residual
-        if rows is None:
-            rows = self._residual = residual_matrix(self)
-        for row in rows:
-            if sum(map(_mul, row, v)) % p:
+        p = self.field.p
+        for row in (self._residual or self._build_residual())[1]:
+            x = sum(map(_mul, row, v))
+            if x % p if p else x:
                 return False
         return True
 
@@ -255,25 +266,33 @@ def rref(field: Field, rows: Sequence[Sequence]):
     return s, s.dim
 
 
-def solve_right_kernel(field: Field, rows: Sequence[Sequence], ncols: int | None = None) -> Subspace:
-    """Canonical basis of {v : rows . v = 0}."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("kernel of an empty matrix needs an explicit width")
-        ncols = len(rows[0])
+def solve_right_kernel(field: Field, rows: Sequence[Sequence], ncols: int) -> Subspace:
+    """Canonical basis of {v : rows . v = 0}: the span of the residual rows of
+    the row space of `rows`."""
     if not rows:
         return Subspace.full(field, ncols)
-    reduced, pivots = rref_rows(field, rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    gens = []
-    for fc in free_cols:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, piv in zip(reduced, pivots):
-            v[piv] = -row[fc]
-        gens.append(v)
-    return _span(field, ncols, gens)
+    return _span(field, ncols, _residual_map(field, ncols, *rref_rows(field, rows))[1])
+
+
+def _residual_map(field: Field, n: int, basis: Sequence[Sequence], pivots: Sequence[int]):
+    """(free columns, residual rows) of the row space of a canonical `basis`
+    with `pivots`: row fc is e_fc - sum_i basis_i[fc] e_(pivot i), with
+    canonical entries (a Fraction, or a residue in range(p))."""
+    p = field.p
+    zero, one = field.zero, field.one
+    free = tuple([c for c in range(n) if c not in pivots])
+    rows = []
+    for fc in free:
+        row = [zero] * n
+        row[fc] = one
+        if p is None:
+            for piv, brow in zip(pivots, basis):
+                row[piv] = -brow[fc]
+        else:
+            for piv, brow in zip(pivots, basis):
+                row[piv] = -brow[fc] % p
+        rows.append(tuple(row))
+    return free, tuple(rows)
 
 
 def _span(field: Field, n: int, rows: Sequence[Sequence]) -> Subspace:
@@ -290,62 +309,30 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system."""
+    """U ∩ V as the kernel of the residual rows of U stacked on those of V."""
     same_field(u.field, v.field)
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    field = u.field
     if u.is_full():
         return v
     if v.is_full():
         return u
     if not u.basis or not v.basis:
-        return Subspace.zero(field, u.ambient_dim)
-    # columns: u basis then negated v basis; kernel rows give matching combos
-    k = len(u.basis)
-    stacked = [row_u + tuple(-x for x in row_v)
-               for row_u, row_v in zip(zip(*u.basis), zip(*v.basis))]
-    ker = solve_right_kernel(field, stacked, k + len(v.basis))
-    u_cols = tuple(zip(*u.basis))
-    return _span(field, u.ambient_dim, [mat_vec(field, u_cols, coeff[:k]) for coeff in ker.basis])
+        return Subspace.zero(u.field, u.ambient_dim)
+    return solve_right_kernel(u.field, u.residual + v.residual, u.ambient_dim)
 
 
 def subspace_contains(u: Subspace, v: Sequence) -> bool:
     return u.contains(v)
 
 
-def residual_matrix(n_space: Subspace):
-    """Matrix of the map sending v to the non-pivot coordinates of v mod N.
-
-    Its kernel is exactly N; composing it with linear maps turns
-    "image lands in N" conditions into plain kernels.
-    """
-    field = n_space.field
-    n = n_space.ambient_dim
-    pivot_set = set(n_space.pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    rows = []
-    neg = field.neg
-    for fc in free_cols:
-        # residual coordinate fc of v = v[fc] - sum_i basis_i[fc] * v[pivot_i]
-        row = [field.zero] * n
-        row[fc] = field.one
-        for brow, piv in zip(n_space.basis, n_space.pivots):
-            row[piv] = neg(brow[fc])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def preimage_subspace(field: Field, matrix_rows: Sequence[Sequence], target: Subspace,
-                      source_dim: int | None = None) -> Subspace:
-    """{v : M v in target} for a linear map given by its matrix."""
-    if source_dim is None:
-        source_dim = len(matrix_rows[0]) if matrix_rows else target.ambient_dim
-    resid = residual_matrix(target)
-    if not resid:
+                      source_dim: int) -> Subspace:
+    """{v : M v in target} for a linear map given by its matrix: the kernel
+    of the target's residual rows composed with M."""
+    if not target.residual:
         return Subspace.full(field, source_dim)
-    composed = mat_mul(field, resid, matrix_rows)
-    return solve_right_kernel(field, composed, source_dim)
+    return solve_right_kernel(field, mat_mul(field, target.residual, matrix_rows), source_dim)
 
 
 def image_subspace(field: Field, matrix_rows: Sequence[Sequence], source: Subspace) -> Subspace:

@@ -19,7 +19,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     preimage_subspace,
-    residual_matrix,
     rref_rows,
     solve_right_kernel,
     vector_count,
@@ -143,11 +142,8 @@ class ModuleSpace:
         self._check_subspace(v_space)
         if not self.is_submodule(v_space):
             raise ValueError("quotient requires an action-invariant subspace")
-        field = self.field
-        proj = residual_matrix(v_space)
-        pivot_set = set(v_space.pivots)
-        free_cols = [c for c in range(self.dim) if c not in pivot_set]
-        actions = [tuple(tuple(row[c] for c in free_cols) for row in mat_mul(field, proj, m))
+        proj, free = v_space.residual, v_space.free
+        actions = [tuple(tuple(row[c] for c in free) for row in mat_mul(self.field, proj, m))
                    for m in self.actions]
         quot = ModuleSpace(self.algebra, actions,
                            name=f"{self.name}/(submodule dim {v_space.dim})")
@@ -182,11 +178,10 @@ class ColonClasses:
     def __init__(self, module: ModuleSpace, n_space: Subspace):
         self.module = module
         self.n_space = n_space
-        resid = residual_matrix(n_space)
-        self._codim = len(resid)
+        self._codim = len(n_space.residual)
         # row i*codim + r is row r of F_i
         self._forms = tuple(row for action in module.actions
-                            for row in mat_mul(module.field, resid, action))
+                            for row in mat_mul(module.field, n_space.residual, action))
         self.submodule = solve_right_kernel(module.field, self._forms, module.dim)
         self._classes: list | None = None
 
@@ -223,8 +218,7 @@ class ColonClasses:
         """Zero, then every vector on the non-pivot coordinates of the
         submodule with first nonzero entry 1, in lexicographic order."""
         p, dim = self.module.field.p, self.module.dim
-        pivots = set(self.submodule.pivots)
-        free = [c for c in range(dim) if c not in pivots]
+        free = self.submodule.free
         yield (0,) * dim
         for t in range(len(free) - 1, -1, -1):
             for tail in itertools.product(range(p), repeat=len(free) - 1 - t):

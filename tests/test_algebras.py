@@ -257,6 +257,15 @@ def test_quotient_of_truncated_matches_smaller_truncation():
     assert proj == ((1, 0, 0), (0, 1, 0))
 
 
+def test_quotient_projection_holds_canonical_residues():
+    # GF(3)[x]/(x^2 - 1) modulo the ideal (x - 1): x maps to 1, and the
+    # projection row of the free coordinate x is (-2, 1) = (1, 1) mod 3
+    alg = Algebra(GF(3), [[(1, 0), (0, 1)], [(0, 1), (1, 0)]], (1, 0))
+    quot, proj = quotient_algebra(alg, Subspace(GF(3), 2, [(2, 1)]))
+    assert proj == ((1, 1),)
+    assert (quot.structure, quot.unit) == ((((1,),),), (1,))
+
+
 def test_quotient_rejects_non_ideals():
     # the first column is a left ideal only, the first row a right ideal only
     for rows in ([E11], [E11, E21], [E11, E12]):

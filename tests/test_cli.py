@@ -19,7 +19,7 @@ from mathieuspaces.algebras import (
 )
 from mathieuspaces.cli import VERBS, build_parser, main
 from mathieuspaces.fields import GF, QQ
-from mathieuspaces.linalg import Subspace, enumerate_subspaces
+from mathieuspaces.linalg import DEFAULT_ELEMENT_CAP, Subspace, enumerate_subspaces
 from mathieuspaces.mathieu import is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent
 from mathieuspaces.serialize import (
     SchemaError,
@@ -455,6 +455,20 @@ def test_a_negative_cap_is_a_usage_error(capsys):
     assert "element_cap" in err
 
 
+def test_an_explicit_cap_overrides_the_profile_even_at_the_default(tmp_path, capsys):
+    sizes = {"primes": [5], "subspace_samples": 5, "pair_samples": 12, "hom_samples": 4,
+             "eval_configs": 4, "integral_samples": 5}
+    capped, uncapped = tmp_path / "capped.json", tmp_path / "uncapped.json"
+    capped.write_text(json.dumps({**sizes, "element_cap": 600}))
+    uncapped.write_text(json.dumps({**sizes, "element_cap": DEFAULT_ELEMENT_CAP}))
+    argv = ("verify-paper", "--no-timing", "--profile")
+    at_default = run_cli(capsys, *argv, str(uncapped))
+    assert at_default[0] == 0
+    assert run_cli(capsys, *argv, str(capped), "--cap", str(DEFAULT_ELEMENT_CAP)) == at_default
+    # without --cap the profile's cap holds, and 600 skips the GF(5) trace hyperplanes
+    assert run_cli(capsys, *argv, str(capped)) != at_default
+
+
 def test_default_and_benchmark_profiles_load():
     default = json.loads(json.dumps(dataclasses.asdict(Profile())))
     assert Profile.from_json(default) == Profile()
@@ -476,13 +490,26 @@ def test_is_ideal_refuses_a_subspace_outside_the_algebra(tmp_path, capsys, subsp
     code, out, err = run_cli(capsys, "is-ideal", "--algebra", str(alg_path),
                              "--subspace", str(sub_path))
     assert (code, out) == (2, "")
-    # an ambient that is no integer is refused by the schema, before the algebra
-    named = ("does not live in this algebra" if type(subspace["ambient"]) is int
-             else "subspace.ambient: expected an integer")
-    assert named in err
-    j = Subspace(GF(2), subspace["ambient"], [])
-    with pytest.raises(ValueError, match="does not live in this algebra"):
-        ideal_violation_witness(matrix_algebra(2, 2), j, "two")
+    # an ambient that is no integer is refused by the schema, a negative one by
+    # `Subspace` itself, and both before the algebra sees them
+    ambient = subspace["ambient"]
+    if ambient == 99:
+        assert "does not live in this algebra" in err
+        j = Subspace(GF(2), ambient, [])
+        with pytest.raises(ValueError, match="does not live in this algebra"):
+            ideal_violation_witness(matrix_algebra(2, 2), j, "two")
+        return
+    assert ("subspace.ambient: expected an integer" if ambient == "4"
+            else "subspace: ambient dimension") in err
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace(GF(2), ambient, [])
+
+
+@pytest.mark.parametrize("ambient", [4.0, True], ids=["float", "bool"])
+def test_subspace_refuses_an_ambient_that_is_no_integer(ambient):
+    # 4.0 == 4 and True == 1, so either would pass the deciders' dimension check
+    with pytest.raises(ValueError, match=f"ambient dimension .*got {ambient!r}"):
+        Subspace(GF(2), ambient, [])
 
 
 @pytest.mark.parametrize("ambient", [4.0, True], ids=["float", "bool"])
@@ -508,9 +535,11 @@ def test_is_ideal_refuses_an_ambient_that_is_no_integer(tmp_path, capsys, ambien
 ], ids=["ideal", "brute", "idem", "radical", "quotient"])
 def test_every_subspace_consumer_of_an_algebra_checks_where_it_lives(check):
     algebra = matrix_algebra(2, 2)
-    for j in (Subspace(GF(2), 3, []), Subspace(GF(3), 4, []), Subspace(GF(2), -3, [])):
+    for j in (Subspace(GF(2), 3, []), Subspace(GF(3), 4, []), Subspace(GF(2), 5, [])):
         with pytest.raises(ValueError, match="does not live in this algebra"):
             check(algebra, j)
+    with pytest.raises(ValueError, match="ambient dimension"):  # refused before any check
+        Subspace(GF(2), -3, [])
 
 
 def test_deciders_over_q_refuse_the_field_before_the_subspace():

@@ -353,11 +353,28 @@ def _subspace_and_vector(draw):
     return j, v
 
 
-@settings(max_examples=300, deadline=None)
-@given(_subspace_and_vector())
+@st.composite
+def _rational_subspace_and_vector(draw):
+    """The twin of `_subspace_and_vector` over Q: the span of rows of ints and
+    Fractions, of every dimension from zero to full, and a vector of them or a
+    rational combination of the canonical basis."""
+    n = draw(st.integers(1, 6))
+    entries = _entries(QQ)
+    j = Subspace(QQ, n, draw(st.lists(st.tuples(*[entries] * n), max_size=n)))
+    if draw(st.booleans()):
+        return j, draw(st.tuples(*[entries] * n))
+    coeffs = draw(st.lists(entries, min_size=j.dim, max_size=j.dim))
+    return j, tuple(sum(c * row[i] for c, row in zip(coeffs, j.basis)) for i in range(n))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_subspace_and_vector(), _rational_subspace_and_vector()))
 @example((Subspace.zero(GF(7), 3), (7, -14, 0)))
 @example((Subspace.zero(GF(2), 2), (3, 0)))
 @example((Subspace.full(GF(5), 3), (12, -1, 26)))
+@example((Subspace(QQ, 3, [(2, 1, 0)]), (1, Fraction(1, 2), 0)))
+@example((Subspace(QQ, 3, [(2, 1, 0)]), (1, Fraction(1, 3), 0)))
+@example((Subspace.zero(QQ, 2), (0, Fraction(0))))
 def test_residual_row_membership_matches_the_naive_reduction(case):
     j, v = case
     assert j == Subspace(j.field, j.ambient_dim, j.basis)
@@ -367,9 +384,32 @@ def test_residual_row_membership_matches_the_naive_reduction(case):
     if j.is_full():
         assert want
     if j.is_zero():
-        assert want == all(x % j.field.p == 0 for x in v)
+        assert want == (not any(map(j.field.check_scalar, v)))
     with pytest.raises(ValueError):
         j.contains(v + (0,))
+
+
+def _every_and_sampled_subspaces():
+    """Every subspace of GF(2)^4 and GF(3)^3, then sampled subspaces of Q^n
+    spanned by rational rows."""
+    yield from enumerate_subspaces(F2, 4)
+    yield from enumerate_subspaces(F3, 3)
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        yield Subspace(QQ, n, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(n)] for _ in range(rng.randint(0, n))])
+
+
+def test_residual_rows_span_the_annihilator_and_cut_out_the_subspace():
+    """N = ker R_N and ker N = span R_N, with one residual row per free column."""
+    for s in _every_and_sampled_subspaces():
+        field, n = s.field, s.ambient_dim
+        assert solve_right_kernel(field, s.basis, n) == Subspace(field, n, s.residual)
+        assert solve_right_kernel(field, s.residual, n) == s
+        assert len(s.residual) == n - s.dim
+        assert s.free == tuple(c for c in range(n) if c not in s.pivots)
+        assert all(_canonical(field, row) for row in s.residual)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
