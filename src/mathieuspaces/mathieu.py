@@ -22,17 +22,10 @@ from .linalg import (
     enumerate_vectors,
 )
 from .modules import ModuleSpace
+# `decide` picks the brute-force oracle; all three stay public names of this module
+from .oracles import MathieuVerdict, is_theta_mathieu_bruteforce, verify_mathieu_witness
 
 PRE_NOTE = "pre-two-sided ideals are taken to be two-sided ideals"
-
-
-@dataclass(frozen=True)
-class MathieuVerdict:
-    is_mathieu: bool
-    witness: dict | None = None
-
-    def __bool__(self):
-        return self.is_mathieu
 
 
 class ElementSet:
@@ -97,100 +90,6 @@ def is_theta_ideal(algebra: Algebra, j: Subspace, theta: str) -> bool:
 # -- Mathieu deciders -----------------------------------------------------------
 
 
-def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
-                                cap: int = DEFAULT_ELEMENT_CAP) -> MathieuVerdict:
-    """Scan every a whose full power sequence stays in J and every multiplier.
-
-    The eventual periodicity of powers makes "for all large exponents"
-    equivalent to "for every element of the power cycle".  The scan visits
-    every a and every multiplier in index order, and skips only what cannot
-    change its first witness: an a outside J (a = a^1), a cycle element x
-    whose multiplier scan already passed in this decision, and a product
-    b*x already scanned for a smaller b.
-
-    The scan runs on element indices, with J as a bitmap filled from
-    `Subspace.element_indices`.  Only products and power trajectories depend
-    on the algebra's kind: they are read from the multiplication table when
-    it has one, and computed one at a time otherwise, so that a failing scan
-    stops at the first escape.
-    """
-    theta = normalize_theta(theta)
-    count = algebra.element_count(cap)
-    algebra._check_subspace(j)
-    if j.is_full():
-        return MathieuVerdict(True)
-    index_of = algebra.index_of
-    mem = bytearray(count)
-    for idx in j.element_indices():
-        mem[idx] = 1
-    table = algebra.mult_table()
-    if table is not None:
-        trajectory = algebra.trajectory_indices
-        right_products = table.__getitem__
-
-        def left_products(x):
-            return [row[x] for row in table]
-    else:
-        elems = algebra.element_list(cap)
-        multiply = algebra.multiply
-
-        def trajectory(a_idx):
-            traj = algebra.power_trajectory(elems[a_idx])
-            return tuple(map(index_of, traj.tail)), tuple(map(index_of, traj.cycle))
-
-        def left_products(x):
-            x = elems[x]
-            return (index_of(multiply(b, x)) for b in elems)
-
-        def right_products(x):
-            x = elems[x]
-            return (index_of(multiply(x, c)) for c in elems)
-
-    check_left = theta in ("left", "pre")
-    check_right = theta in ("right", "pre")
-    passed = set()
-    for a_idx in range(count):
-        if not mem[a_idx]:
-            continue
-        tail, cycle = trajectory(a_idx)
-        if not all(mem[x] for x in tail) or not all(mem[x] for x in cycle):
-            continue
-        for pos, x in enumerate(cycle):
-            if x in passed:
-                continue
-            power = len(tail) + pos + 1
-            if check_left:
-                for b, bx in enumerate(left_products(x)):
-                    if not mem[bx]:
-                        return _indexed_witness(algebra, a_idx, power, b=b)
-            if check_right:
-                for c, xc in enumerate(right_products(x)):
-                    if not mem[xc]:
-                        return _indexed_witness(algebra, a_idx, power, c=c)
-            if theta == "two":
-                seen = set()
-                for b, bx in enumerate(left_products(x)):
-                    if bx in seen:
-                        continue
-                    seen.add(bx)
-                    for c, bxc in enumerate(right_products(bx)):
-                        if not mem[bxc]:
-                            return _indexed_witness(algebra, a_idx, power, b=b, c=c)
-            passed.add(x)
-    return MathieuVerdict(True)
-
-
-def _indexed_witness(algebra, a_idx, power, b=None, c=None):
-    witness = {
-        "kind": "mathieu",
-        "a": algebra.vector_at(a_idx),
-        "b": None if b is None else algebra.vector_at(b),
-        "c": None if c is None else algebra.vector_at(c),
-        "power": power,
-    }
-    return MathieuVerdict(False, witness)
-
-
 def is_theta_mathieu_idempotent(algebra: Algebra, j: Subspace, theta: str,
                                 cap: int = DEFAULT_ELEMENT_CAP) -> MathieuVerdict:
     """J is theta-Mathieu iff the theta-ideal of every idempotent in J stays in J.
@@ -235,65 +134,6 @@ def _decider(method: str):
 def decide(algebra: Algebra, j: Subspace, theta: str, method: str, cap: int) -> MathieuVerdict:
     """Is J theta-Mathieu, by the decider `method` names (see `_decider`)."""
     return _decider(method)(algebra, j, theta, cap)
-
-
-def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
-    """Re-validate a negative verdict from scratch; returns (valid, reason)."""
-    theta = normalize_theta(theta)
-    kind = witness.get("kind")
-    if kind == "ideal":
-        if witness.get("element") is None:
-            return False, "ideal violations need an element"
-        v = tuple(witness["element"])
-        if not j.contains(v):
-            return False, "claimed element is not in the subspace"
-        left = witness.get("left")
-        right = witness.get("right")
-        if left is None and right is None:
-            return False, "ideal violations need a multiplier"
-        if theta == "left" and right is not None:
-            return False, "left-ideal violations admit only a left multiplier"
-        if theta == "right" and left is not None:
-            return False, "right-ideal violations admit only a right multiplier"
-        prod = v
-        if left is not None:
-            prod = algebra.multiply(tuple(left), prod)
-        if right is not None:
-            prod = algebra.multiply(prod, tuple(right))
-        if j.contains(prod):
-            return False, "claimed product actually stays in the subspace"
-        return True, "ideal violation confirmed"
-    if kind != "mathieu":
-        return False, f"unknown witness kind {kind!r}"
-    if witness.get("a") is None:
-        return False, "Mathieu violations need an element a"
-    m = witness.get("power")
-    if type(m) is not int:
-        return False, "witness exponent must be an integer"
-    traj = algebra.power_trajectory(tuple(witness["a"]))
-    if not traj.all_powers_in(j):
-        return False, "witness element does not have all powers in the subspace"
-    if m <= len(traj.tail):
-        return False, "witness exponent does not reach the power cycle"
-    x = traj.power(m)
-    prod = x
-    b = witness.get("b")
-    c = witness.get("c")
-    if theta == "left" and (b is None or c is not None):
-        return False, "left violations need exactly a left multiplier"
-    if theta == "right" and (c is None or b is not None):
-        return False, "right violations need exactly a right multiplier"
-    if theta == "pre" and (b is None) == (c is None):
-        return False, "one-sided violation expected"
-    if theta == "two" and (b is None or c is None):
-        return False, "two-sided violations need both multipliers"
-    if b is not None:
-        prod = algebra.multiply(tuple(b), prod)
-    if c is not None:
-        prod = algebra.multiply(prod, tuple(c))
-    if j.contains(prod):
-        return False, "claimed product actually stays in the subspace"
-    return True, "recurring product escapes the subspace"
 
 
 # -- memoized bulk verdicts -------------------------------------------------------
@@ -356,11 +196,14 @@ def sigma(module: ModuleSpace, n_space: Subspace, theta: str,
 
 def tau(module: ModuleSpace, n_space: Subspace, theta: str,
         cap: int = DEFAULT_ELEMENT_CAP, method: str = "idem") -> ElementSet:
-    """Elements u with (N:u) a theta-Mathieu subspace (finite fields only)."""
+    """Elements u with (N:u) a theta-Mathieu subspace (finite fields only).
+    Every decision enumerates the algebra, so an algebra over the cap is
+    refused here, even when the set would be a predicate."""
     theta = normalize_theta(theta)
     _decider(method)  # refuse an unknown method before any scan
     if module.field.is_rational:
         raise ValueError("tau needs a finite field: the Mathieu deciders enumerate the algebra")
+    module.algebra.element_count(cap)
     return stable_sets(module, n_space, cap,
                        lambda j: _witness(module.algebra, j, theta, method, cap) is None)
 

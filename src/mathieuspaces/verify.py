@@ -12,7 +12,6 @@ witness, which the standalone `verify-witness` verb re-validates.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import random
 import time
@@ -41,20 +40,20 @@ from .linalg import (
     mat_vec,
     preimage_subspace,
     solve_right_kernel,
-    subspace_intersect,
 )
 from .mathieu import (
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
     has_only_trivial_idempotents,
     is_stable_algebra_classified,
-    is_theta_mathieu_bruteforce,
     is_theta_mathieu_idempotent,
     sigma,
     tau,
-    verify_mathieu_witness,
 )
 from .modules import ModuleHom, column_module, module_hom_basis, natural_module
+from .oracles import (_double_sum_integral, _fixpoint_submodule, _flat_matmul, _independent_twist,
+                      _is_nonzero_scalar_of_identity, _subset_sums_nonzero,
+                      is_theta_mathieu_bruteforce, verify_mathieu_witness)
 from .polyspaces import (
     EvalConfig,
     IntegralConfig,
@@ -309,29 +308,6 @@ def check_column_module_sets(profile: Profile) -> list:
 # -- check 3: trace-pairing hyperplanes in the matrix algebra ------------------------
 
 
-def _flat_matmul(p: int, n: int, y: tuple, x: tuple) -> tuple:
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc += y[i * n + k] * x[k * n + j]
-            out[i * n + j] = acc % p
-    return tuple(out)
-
-
-def _is_nonzero_scalar_of_identity(p: int, n: int, m: tuple) -> bool:
-    c = m[0]
-    if not c:
-        return False
-    for i in range(n):
-        for j in range(n):
-            want = c if i == j else 0
-            if m[i * n + j] != want:
-                return False
-    return True
-
-
 def check_trace_hyperplane_sets(profile: Profile) -> list:
     entries = []
     n = 2
@@ -399,20 +375,6 @@ def _module_zoo(profile: Profile) -> list:
     return zoo
 
 
-def _fixpoint_submodule(module, n_space: Subspace) -> Subspace:
-    """The largest submodule inside N by fixpoint descent: each round keeps the
-    vectors of the current space that every action matrix maps into it."""
-    current = n_space
-    while True:
-        nxt = current
-        for m in module.actions:
-            nxt = subspace_intersect(
-                nxt, preimage_subspace(module.field, m, current, module.dim))
-        if nxt == current:
-            return current
-        current = nxt
-
-
 def check_max_submodule(profile: Profile) -> list:
     claim = ("the fixpoint maximum submodule of N equals both N intersect sigma(N) "
              "and N intersect tau(N) for every side selector")
@@ -423,12 +385,12 @@ def check_max_submodule(profile: Profile) -> list:
     def mismatch(module):
         for _ in range(per_module):
             n_space = _random_subspace(rng, module.field, module.dim)
-            fixpoint = _fixpoint_submodule(module, n_space)
+            inside = _fixpoint_submodule(module, n_space)
             kernel = module.max_submodule(n_space)
-            if kernel != fixpoint:
-                return {"subspace": n_space.to_json(), "fixpoint": fixpoint.to_json(),
+            if frozenset(kernel.elements()) != inside:
+                return {"subspace": n_space.to_json(),
+                        "fixpoint": Subspace(module.field, module.dim, inside).to_json(),
                         "max_submodule": kernel.to_json()}
-            inside = frozenset(fixpoint.elements())
             for theta in THETAS:
                 got_sigma, got_tau = _sets(module, n_space, theta, profile.element_cap)
                 n_sig = frozenset(filter(n_space.contains, got_sigma))
@@ -583,28 +545,6 @@ def _random_poly(rng: random.Random, max_degree: int = 8) -> Poly:
     return Poly.univariate(QQ, coeffs)
 
 
-def _horner_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _independent_twist(cfg: EvalConfig, f: Poly) -> list:
-    """Weight twist computed with a separate dense Horner evaluation."""
-    coeffs = f.coeffs_univariate()
-    return [w * _horner_eval(coeffs, pt[0]) for w, pt in zip(cfg.weights, cfg.points)]
-
-
-def _subset_sums_nonzero(values: Sequence[Fraction]) -> bool:
-    nz = [v for v in values if v]
-    for size in range(1, len(nz) + 1):
-        for combo in itertools.combinations(nz, size):
-            if sum(combo) == 0:
-                return False
-    return True
-
-
 def check_evaluation_subspace_identities(profile: Profile) -> list:
     claim = ("twisting the weights by point values implements the colon operation, "
              "and the stable/quasi-stable membership formulas match an independent "
@@ -643,16 +583,6 @@ def check_evaluation_subspace_identities(profile: Profile) -> list:
 
 
 # -- check 9: integration-functional subspaces ----------------------------------------
-
-
-def _double_sum_integral(f: Poly, q: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """Term-by-term pairing without polynomial multiplication."""
-    total = Fraction(0)
-    for (i,), ci in f.terms.items():
-        for (j,), cj in q.terms.items():
-            k = i + j
-            total += ci * cj * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-    return total
 
 
 def check_integration_battery(profile: Profile) -> list:

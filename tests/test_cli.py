@@ -606,6 +606,21 @@ def test_tau_over_q_exits_two_without_traceback(tmp_path, capsys):
     assert json.loads(out)["result"] == {"capped": True}
 
 
+def test_tau_over_the_cap_exits_two_as_is_mathieu_does(tmp_path, capsys):
+    # M_3(GF(2)) has 512 elements: every decision would enumerate them, so tau
+    # refuses when it builds the set instead of returning a predicate
+    alg_path = tmp_path / "m3.json"
+    alg_path.write_text(json.dumps(algebra_to_json(matrix_algebra(3, 2))))
+    zero = tmp_path / "z9.json"
+    zero.write_text(json.dumps({"ambient": 9, "basis": []}))
+    for verb in ("tau", "is-mathieu"):
+        code, out, err = run_cli(capsys, verb, "--algebra", str(alg_path),
+                                 "--subspace", str(zero), "--cap", "511")
+        assert code == 2, verb
+        assert out == ""
+        assert "enumeration of 512 elements exceeds cap 511" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("missing", ["subspace", "witness", "witness.a", "witness.power"])
 def test_witness_file_without_a_key_exits_two(tmp_path, capsys, missing):
     obj = {

@@ -9,7 +9,8 @@ does use the library's colon spaces and deciders, but computes one colon
 space and one decision per element, with no caches and no class reduction.
 The brute-force Mathieu scan is also diffed against its own loop without the
 work it skips (`unpruned_bruteforce`), and the one-kernel `max_submodule`
-against the battery's fixpoint descent (`verify._fixpoint_submodule`).
+against the fixpoint descent over explicit sets (`oracles._fixpoint_submodule`)
+and, over Q, against a descent over subspaces (`_subspace_descent`).
 """
 
 import itertools
@@ -33,7 +34,9 @@ from mathieuspaces.linalg import (
     enumerate_subspaces,
     enumerate_vectors,
     mat_vec,
+    preimage_subspace,
     solve_right_kernel,
+    subspace_intersect,
 )
 from mathieuspaces.mathieu import (
     MathieuVerdict,
@@ -44,7 +47,8 @@ from mathieuspaces.mathieu import (
     tau,
 )
 from mathieuspaces.modules import ColonClasses, column_module, natural_module
-from mathieuspaces.verify import Profile, _fixpoint_submodule, _module_zoo, _random_subspace
+from mathieuspaces.oracles import _fixpoint_submodule
+from mathieuspaces.verify import Profile, _module_zoo, _random_subspace
 
 THETAS = ("left", "right", "pre", "two")
 
@@ -320,7 +324,24 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
 def test_kernel_max_submodule_against_the_fixpoint_on_every_subspace(build):
     module = build()
     for n_space in enumerate_subspaces(module.field, module.dim):
-        assert module.max_submodule(n_space) == _fixpoint_submodule(module, n_space)
+        assert frozenset(module.max_submodule(n_space).elements()) == \
+            _fixpoint_submodule(module, n_space)
+
+
+def _subspace_descent(module, n_space):
+    """The largest submodule inside N by fixpoint descent over subspaces: each
+    round intersects the current space with its preimage under every action
+    matrix.  Unlike the explicit-set oracle it runs over Q, but its preimages
+    and intersections end in `linalg`'s residual map (`Subspace.residual`),
+    which also builds the kernel it is compared with."""
+    current = n_space
+    while True:
+        nxt = current
+        for m in module.actions:
+            nxt = subspace_intersect(nxt, preimage_subspace(module.field, m, current, module.dim))
+        if nxt == current:
+            return current
+        current = nxt
 
 
 def test_kernel_max_submodule_against_the_fixpoint_over_q():
@@ -339,7 +360,7 @@ def test_kernel_max_submodule_against_the_fixpoint_over_q():
                 u = rand_vec()
                 gens += [mat_vec(QQ, m, u) for m in module.actions]
             n_space = Subspace(QQ, module.dim, gens)
-            fixpoint = _fixpoint_submodule(module, n_space)
+            fixpoint = _subspace_descent(module, n_space)
             assert module.max_submodule(n_space) == fixpoint
             proper += 0 < fixpoint.dim < n_space.dim
     assert proper  # some N hold a nonzero largest submodule smaller than N
