@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from .algebras import Algebra, normalize_theta
 from .linalg import DEFAULT_ELEMENT_CAP, Subspace
@@ -28,6 +29,19 @@ class MathieuVerdict:
         return self.is_mathieu
 
 
+# algebra -> (left, right, two-sided) dicts from an element index x to the
+# bitmask of {b*x}, {x*c} or {b*x*c}; filled by the brute-force scan, at most
+# element_count masks each, and dropped with the algebra
+_PRODUCT_MASKS = WeakKeyDictionary()
+
+
+def _bits(indices) -> int:
+    mask = 0
+    for idx in set(indices):
+        mask |= 1 << idx
+    return mask
+
+
 def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
                                 cap: int = DEFAULT_ELEMENT_CAP) -> MathieuVerdict:
     """Scan every a whose full power sequence stays in J and every multiplier.
@@ -35,15 +49,22 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     The eventual periodicity of powers makes "for all large exponents"
     equivalent to "for every element of the power cycle".  The scan visits
     every a and every multiplier in index order, and skips only what cannot
-    change its first witness: an a outside J (a = a^1), a cycle element x
-    whose multiplier scan already passed in this decision, and a product
-    b*x already scanned for a smaller b.
+    change its first witness: an a outside J (a = a^1), the zero element as a
+    cycle element (b*0 = 0*c = 0 lies in every J), a cycle element x whose
+    multiplier scan already passed in this decision, and a product b*x
+    already scanned for a smaller b.
 
-    The scan runs on element indices, with J as a bitmap filled from
+    The scan runs on element indices, with J as a bitmap and as an int whose
+    bit i is set for element #i of J, both filled from one pass over
     `Subspace.element_indices`.  Only products and power trajectories depend
-    on the algebra's kind: they are read from the multiplication table when
-    it has one, and computed one at a time otherwise, so that a failing scan
-    stops at the first escape.
+    on the algebra's kind.  With a multiplication table, the product set of
+    x on a side ({b*x}, {x*c} or {b*x*c}) is one bitmask, and one AND with
+    the complement of J tests it; the ordered loop over the multipliers runs
+    only when that AND is nonzero, to name the first witness.  The masks
+    depend on the algebra alone and are kept in `_PRODUCT_MASKS`: built the
+    first time x is visited, at most 3 x element_count of them, held only
+    while the algebra lives.  Without a table, products and trajectories are
+    computed one at a time, so that a failing scan stops at the first escape.
     """
     theta = normalize_theta(theta)
     count = algebra.element_count(cap)
@@ -51,9 +72,13 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     if j.is_full():
         return MathieuVerdict(True)
     index_of = algebra.index_of
+    members = j.element_indices()
     mem = bytearray(count)
-    for idx in j.element_indices():
+    inside = 0
+    for idx in members:
         mem[idx] = 1
+        inside |= 1 << idx
+    outside = ((1 << count) - 1) ^ inside
     table = algebra.mult_table()
     if table is not None:
         trajectory = algebra.trajectory_indices
@@ -61,6 +86,32 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
 
         def left_products(x):
             return [row[x] for row in table]
+
+        masks = _PRODUCT_MASKS.get(algebra)
+        if masks is None:
+            masks = _PRODUCT_MASKS[algebra] = ({}, {}, {})
+        left_masks, right_masks, two_masks = masks
+
+        def left_mask(x):
+            mask = left_masks.get(x)
+            if mask is None:
+                mask = left_masks[x] = _bits(left_products(x))
+            return mask
+
+        def right_mask(x):
+            mask = right_masks.get(x)
+            if mask is None:
+                mask = right_masks[x] = _bits(table[x])
+            return mask
+
+        def two_mask(x):
+            mask = two_masks.get(x)
+            if mask is None:
+                mask = 0
+                for bx in set(left_products(x)):
+                    mask |= right_mask(bx)
+                two_masks[x] = mask
+            return mask
     else:
         elems = algebra.element_list(cap)
         multiply = algebra.multiply
@@ -77,12 +128,15 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
             x = elems[x]
             return (index_of(multiply(x, c)) for c in elems)
 
+        def left_mask(x):
+            return outside  # no mask: every product may escape
+
+        right_mask = two_mask = left_mask
+
     check_left = theta in ("left", "pre")
     check_right = theta in ("right", "pre")
-    passed = set()
-    for a_idx in range(count):
-        if not mem[a_idx]:
-            continue
+    passed = {0}
+    for a_idx in sorted(members):
         tail, cycle = trajectory(a_idx)
         if not all(mem[x] for x in tail) or not all(mem[x] for x in cycle):
             continue
@@ -90,15 +144,15 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
             if x in passed:
                 continue
             power = len(tail) + pos + 1
-            if check_left:
+            if check_left and left_mask(x) & outside:
                 for b, bx in enumerate(left_products(x)):
                     if not mem[bx]:
                         return _indexed_witness(algebra, a_idx, power, b=b)
-            if check_right:
+            if check_right and right_mask(x) & outside:
                 for c, xc in enumerate(right_products(x)):
                     if not mem[xc]:
                         return _indexed_witness(algebra, a_idx, power, c=c)
-            if theta == "two":
+            if theta == "two" and two_mask(x) & outside:
                 seen = set()
                 for b, bx in enumerate(left_products(x)):
                     if bx in seen:

@@ -8,11 +8,13 @@ quantifier is a raw scan.  The per-element oracle for sigma/tau further down
 does use the library's colon spaces and deciders, but computes one colon
 space and one decision per element, with no caches and no class reduction.
 The brute-force Mathieu scan is also diffed against its own loop without the
-work it skips (`unpruned_bruteforce`), and the one-kernel `max_submodule`
+work it skips (`unpruned_bruteforce`), also with its product masks warm from
+earlier decisions on the same algebra, and the one-kernel `max_submodule`
 against the fixpoint descent over explicit sets (`oracles._fixpoint_submodule`)
 and, over Q, against a descent over subspaces (`_subspace_descent`).
 """
 
+import functools
 import itertools
 import random
 
@@ -493,6 +495,70 @@ def test_bruteforce_scan_without_a_table_against_the_unpruned_loop():
             assert is_theta_mathieu_bruteforce(algebra, j, theta) == expected, (j.basis, theta)
     assert algebra.mult_table() is None
     assert algebra._trajectories == {}
+
+
+class _ElementSet:
+    """J as the explicit set of its elements: membership with no linear algebra."""
+
+    def __init__(self, j):
+        self.members = frozenset(j.elements())
+
+    def contains(self, v):
+        return tuple(v) in self.members
+
+
+def _unpruned_verdicts(build, spaces):
+    """The unpruned loop's verdict for every subspace of `spaces` and side, on
+    an algebra object of its own whose products are memoized."""
+    reference = build()
+    reference.multiply = functools.lru_cache(maxsize=None)(reference.multiply)
+    return {(j, theta): unpruned_bruteforce(reference, _ElementSet(j), theta, DEFAULT_ELEMENT_CAP)
+            for j in spaces for theta in THETAS}
+
+
+def _assert_warm_scans_agree(algebra, spaces, expected):
+    """The scan on one algebra object, over `spaces` in order, again with every
+    product mask already built, then in reverse, names the expected verdicts."""
+    for order in (spaces, spaces, spaces[::-1]):
+        for j in order:
+            for theta in THETAS:
+                assert is_theta_mathieu_bruteforce(algebra, j, theta) == expected[j, theta], (
+                    j.basis, theta)
+
+
+@pytest.mark.parametrize("build", [lambda: matrix_algebra(2, 3), lambda: upper_triangular(3, 2),
+                                   _opposite_upper],
+                         ids=["M_2(GF(3))", "UT_3(GF(2))", "op(UT_2(GF(3)))"])
+def test_warm_product_masks_against_the_unpruned_loop(build):
+    """The masks kept per algebra serve every later decision on it, whatever
+    subspace or side built them."""
+    algebra = build()
+    spaces = list(enumerate_subspaces(algebra.field, algebra.dim))
+    _assert_warm_scans_agree(algebra, spaces, _unpruned_verdicts(build, spaces))
+
+
+def test_warm_product_masks_on_hyperplanes_of_m2_gf5():
+    algebra = matrix_algebra(2, 5)
+    rng = random.Random(2028)
+    spaces = [_subspace_of_dim(rng, algebra.field, algebra.dim, algebra.dim - 1)
+              for _ in range(20)]
+    _assert_warm_scans_agree(algebra, spaces,
+                             _unpruned_verdicts(lambda: matrix_algebra(2, 5), spaces))
+
+
+@pytest.mark.parametrize("with_table", [True, False], ids=["table", "no-table"])
+def test_zero_subspace_and_nilpotent_lines_against_the_unpruned_loop(with_table):
+    """The scan skips the products of the zero element: the zero subspace's
+    one a is 0, and the powers of x^3 and x^4 end in the cycle (0)."""
+    algebra = truncated_poly(5, 3)
+    if not with_table:
+        algebra.mult_table = lambda: None
+    assert (algebra.mult_table() is not None) == with_table
+    spaces = [Subspace(algebra.field, algebra.dim, rows)
+              for rows in ([], [(0, 0, 0, 1, 0)], [(0, 0, 0, 0, 1)])]
+    expected = _unpruned_verdicts(lambda: truncated_poly(5, 3), spaces)
+    assert all(expected.values())
+    _assert_warm_scans_agree(algebra, spaces, expected)
 
 
 def uncached_idempotent_walk(algebra, j, theta):

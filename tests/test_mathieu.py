@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -43,6 +44,7 @@ from mathieuspaces.mathieu import (
     verify_mathieu_witness,
 )
 from mathieuspaces.modules import ModuleSpace, column_module, natural_module
+from mathieuspaces.oracles import _PRODUCT_MASKS
 
 F2, F3 = GF(2), GF(3)
 M2F2 = matrix_algebra(2, 2)
@@ -500,6 +502,40 @@ def test_indexed_bruteforce_traces_only_elements_of_j(monkeypatch):
     assert is_theta_mathieu_bruteforce(t, line, "left").is_mathieu
     assert {t.vector_at(idx) for (idx,) in trajectories} <= set(line.elements())
     assert len(trajectories) <= 5
+
+
+
+def test_generic_bruteforce_skips_the_products_of_zero(monkeypatch):
+    t = truncated_poly(5, 5)
+    zero = Subspace(GF(5), 5, [])
+    products = _counting(monkeypatch, "multiply")
+    for theta in THETAS:
+        assert is_theta_mathieu_bruteforce(t, zero, theta).is_mathieu
+    # only the trajectory of a = 0 multiplies, 0 * 0 once per decision
+    assert len(products) == len(THETAS)
+
+
+def test_product_masks_are_bounded_reused_and_dropped_with_the_algebra():
+    gc.collect()
+    held = len(_PRODUCT_MASKS)
+    ut = upper_triangular(3, 2)
+    spaces = list(enumerate_subspaces(ut.field, ut.dim))
+
+    def decide_all():
+        for j in spaces:
+            for theta in THETAS:
+                is_theta_mathieu_bruteforce(ut, j, theta)
+        return sum(map(len, _PRODUCT_MASKS[ut]))
+
+    built = decide_all()
+    assert 0 < built <= 3 * ut.element_count()
+    assert all(len(masks) <= ut.element_count() for masks in _PRODUCT_MASKS[ut])
+    assert len(_PRODUCT_MASKS) == held + 1
+    # a warm repeat of the same decisions builds no mask
+    assert decide_all() == built
+    del ut
+    gc.collect()
+    assert len(_PRODUCT_MASKS) == held
 
 
 def test_every_negative_verdict_carries_a_valid_witness():
