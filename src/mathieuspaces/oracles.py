@@ -1,9 +1,13 @@
 """The oracles: naive computations that share no code with the fast paths
 they referee.  `is_theta_mathieu_bruteforce` referees the idempotent decider,
 `verify_mathieu_witness` every negative verdict, and the rest the checks of
-`verify-paper`.  `tests/test_oracle_independence.py` fails on any attribute
-this module reads, or name it imports from the package, off its allow-list;
-annotations are never evaluated, so they may name any type.
+`verify-paper`.  Both Mathieu oracles read J through a view of their own
+(`_j_view`, built from J's enumerated elements) or, for the re-validator when
+no view is cached, through an elimination of their own (`_in_span`); neither
+reads the residual map the deciders test membership with.
+`tests/test_oracle_independence.py` fails on any attribute this module
+reads, or name it imports from the package, off its allow-list; annotations
+are never evaluated, so they may name any type.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from .algebras import Algebra, normalize_theta
-from .linalg import DEFAULT_ELEMENT_CAP, Subspace
+from .linalg import DEFAULT_ELEMENT_CAP, BoundedMemo, Subspace
 from .polyspaces import EvalConfig, Poly
 
 
@@ -34,12 +38,36 @@ class MathieuVerdict:
 # element_count masks each, and dropped with the algebra
 _PRODUCT_MASKS = WeakKeyDictionary()
 
+# algebra -> BoundedMemo from a subspace J (by value) to its view, holding at
+# most VIEW_BUDGET // element_count views; dropped with the algebra
+_J_VIEWS = WeakKeyDictionary()
+VIEW_BUDGET = 1 << 21
+
 
 def _bits(indices) -> int:
     mask = 0
     for idx in set(indices):
         mask |= 1 << idx
     return mask
+
+
+def _j_view(algebra, j, count):
+    """(bitmap, int with bit i set for element #i of J, sorted member indices)
+    of J in an algebra of `count` elements, from J's enumerated elements and
+    `index_of`; built once per J by value and kept per algebra."""
+    views = _J_VIEWS.get(algebra)
+    if views is None:
+        views = _J_VIEWS[algebra] = BoundedMemo(max(1, VIEW_BUDGET // count))
+    view = views.get(j)
+    if view is None:
+        members = sorted(map(algebra.index_of, j.elements()))
+        mem = bytearray(count)
+        inside = 0
+        for idx in members:
+            mem[idx] = 1
+            inside |= 1 << idx
+        view = views.put(j, (mem, inside, members))
+    return view
 
 
 def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
@@ -54,30 +82,25 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     multiplier scan already passed in this decision, and a product b*x
     already scanned for a smaller b.
 
-    The scan runs on element indices, with J as a bitmap and as an int whose
-    bit i is set for element #i of J, both filled from one pass over
-    `Subspace.element_indices`.  Only products and power trajectories depend
-    on the algebra's kind.  With a multiplication table, the product set of
-    x on a side ({b*x}, {x*c} or {b*x*c}) is one bitmask, and one AND with
-    the complement of J tests it; the ordered loop over the multipliers runs
-    only when that AND is nonzero, to name the first witness.  The masks
-    depend on the algebra alone and are kept in `_PRODUCT_MASKS`: built the
-    first time x is visited, at most 3 x element_count of them, held only
-    while the algebra lives.  Without a table, products and trajectories are
-    computed one at a time, so that a failing scan stops at the first escape.
+    The scan runs on element indices, with J's view (`_j_view`): a bitmap,
+    an int whose bit i is set for element #i of J, and J's indices in order,
+    built the first time J is decided on the algebra, on any side.  Only
+    products and power trajectories depend on the algebra's kind.  With a
+    multiplication table, the product set of x on a side ({b*x}, {x*c} or
+    {b*x*c}) is one bitmask, and one AND with the complement of J tests it;
+    the ordered loop over the multipliers runs only when that AND is
+    nonzero, to name the first witness.  The masks depend on the algebra
+    alone and are kept in `_PRODUCT_MASKS`: built the first time x is
+    visited, at most 3 x element_count of them, held only while the algebra
+    lives.  Without a table, products and trajectories are computed one at a
+    time, so that a failing scan stops at the first escape.
     """
     theta = normalize_theta(theta)
     count = algebra.element_count(cap)
     algebra._check_subspace(j)
     if j.is_full():
         return MathieuVerdict(True)
-    index_of = algebra.index_of
-    members = j.element_indices()
-    mem = bytearray(count)
-    inside = 0
-    for idx in members:
-        mem[idx] = 1
-        inside |= 1 << idx
+    mem, inside, members = _j_view(algebra, j, count)
     outside = ((1 << count) - 1) ^ inside
     table = algebra.mult_table()
     if table is not None:
@@ -115,6 +138,7 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     else:
         elems = algebra.element_list(cap)
         multiply = algebra.multiply
+        index_of = algebra.index_of
 
         def trajectory(a_idx):
             traj = algebra.power_trajectory(elems[a_idx])
@@ -136,7 +160,7 @@ def is_theta_mathieu_bruteforce(algebra: Algebra, j: Subspace, theta: str,
     check_left = theta in ("left", "pre")
     check_right = theta in ("right", "pre")
     passed = {0}
-    for a_idx in sorted(members):
+    for a_idx in members:
         tail, cycle = trajectory(a_idx)
         if not all(mem[x] for x in tail) or not all(mem[x] for x in cycle):
             continue
@@ -177,14 +201,37 @@ def _indexed_witness(algebra, a_idx, power, b=None, c=None):
 
 
 def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
-    """Re-validate a negative verdict from scratch; returns (valid, reason)."""
+    """Re-validate a negative verdict from scratch; returns (valid, reason).
+
+    Membership in J has a test of its own: J's view when the brute-force
+    scan has already cached one for this algebra and J (it is looked up,
+    never built), else elimination against J's basis (`_in_span`).  A vector
+    the view does not index (one that is no element of the algebra as
+    `vector_at` writes it) goes to elimination too.
+    """
     theta = normalize_theta(theta)
+    algebra._check_subspace(j)
+    field, basis = algebra.field, j.basis
+    views = _J_VIEWS.get(algebra)
+    view = None if views is None else views.get(j)
+    if view is None:
+        def contains(v):
+            return _in_span(field, basis, v)
+    else:
+        mem, index_of, vector_at = view[0], algebra.index_of, algebra.vector_at
+
+        def contains(v):
+            idx = index_of(v)
+            if 0 <= idx < len(mem) and vector_at(idx) == v:
+                return mem[idx]
+            return _in_span(field, basis, v)
+
     kind = witness.get("kind")
     if kind == "ideal":
         if witness.get("element") is None:
             return False, "ideal violations need an element"
         v = tuple(witness["element"])
-        if not j.contains(v):
+        if not contains(v):
             return False, "claimed element is not in the subspace"
         left = witness.get("left")
         right = witness.get("right")
@@ -199,7 +246,7 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
             prod = algebra.multiply(tuple(left), prod)
         if right is not None:
             prod = algebra.multiply(prod, tuple(right))
-        if j.contains(prod):
+        if contains(prod):
             return False, "claimed product actually stays in the subspace"
         return True, "ideal violation confirmed"
     if kind != "mathieu":
@@ -210,7 +257,7 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
     if type(m) is not int:
         return False, "witness exponent must be an integer"
     traj = algebra.power_trajectory(tuple(witness["a"]))
-    if not traj.all_powers_in(j):
+    if not all(map(contains, traj.tail)) or not all(map(contains, traj.cycle)):
         return False, "witness element does not have all powers in the subspace"
     if m <= len(traj.tail):
         return False, "witness exponent does not reach the power cycle"
@@ -230,9 +277,36 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         prod = algebra.multiply(tuple(b), prod)
     if c is not None:
         prod = algebra.multiply(prod, tuple(c))
-    if j.contains(prod):
+    if contains(prod):
         return False, "claimed product actually stays in the subspace"
     return True, "recurring product escapes the subspace"
+
+
+def _in_span(field, rows, v) -> bool:
+    """Whether v is a combination of `rows`, by naive elimination, exact over
+    GF(p) and over Q: each row, reduced by the rows kept before it, is kept
+    scaled to a leading 1 if anything is left, and v lies in the span iff the
+    kept rows reduce it to zero.  `rows` need not be in echelon form."""
+    p = field.p
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError("ambient dimension mismatch")
+
+    def reduce(w, kept):
+        w = [x % p for x in w] if p else [Fraction(x) for x in w]
+        for c, row in kept:
+            f = w[c]
+            if f:
+                w = [(x - f * y) % p if p else x - f * y for x, y in zip(w, row)]
+        return w
+
+    kept = []
+    for row in rows:
+        w = reduce(row, kept)
+        c = next((c for c, x in enumerate(w) if x), None)
+        if c is not None:
+            inv = pow(w[c], p - 2, p) if p else 1 / w[c]
+            kept += [(c, [x * inv % p if p else x * inv for x in w])]
+    return not any(reduce(v, kept))
 
 
 def _fixpoint_submodule(module, n_space: Subspace) -> frozenset:

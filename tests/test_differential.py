@@ -8,15 +8,22 @@ quantifier is a raw scan.  The per-element oracle for sigma/tau further down
 does use the library's colon spaces and deciders, but computes one colon
 space and one decision per element, with no caches and no class reduction.
 The brute-force Mathieu scan is also diffed against its own loop without the
-work it skips (`unpruned_bruteforce`), also with its product masks warm from
-earlier decisions on the same algebra, and the one-kernel `max_submodule`
-against the fixpoint descent over explicit sets (`oracles._fixpoint_submodule`)
-and, over Q, against a descent over subspaces (`_subspace_descent`).
+work it skips (`unpruned_bruteforce`), also with its product masks and J's
+views warm from earlier decisions on the same algebra; the re-validator's
+elimination is diffed against `Subspace.contains` and J's view, and its
+answers on the benchmark's decider-scan witnesses are pinned.  The
+one-kernel `max_submodule` is diffed against the fixpoint descent over
+explicit sets (`oracles._fixpoint_submodule`) and, over Q, against a descent
+over subspaces (`_subspace_descent`).
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +56,14 @@ from mathieuspaces.mathieu import (
     tau,
 )
 from mathieuspaces.modules import ColonClasses, column_module, natural_module
-from mathieuspaces.oracles import _fixpoint_submodule
+from mathieuspaces.oracles import (
+    _J_VIEWS,
+    _PRODUCT_MASKS,
+    _fixpoint_submodule,
+    _in_span,
+    _j_view,
+    verify_mathieu_witness,
+)
 from mathieuspaces.verify import Profile, _module_zoo, _random_subspace
 
 THETAS = ("left", "right", "pre", "two")
@@ -517,21 +531,27 @@ def _unpruned_verdicts(build, spaces):
 
 
 def _assert_warm_scans_agree(algebra, spaces, expected):
-    """The scan on one algebra object, over `spaces` in order, again with every
-    product mask already built, then in reverse, names the expected verdicts."""
-    for order in (spaces, spaces, spaces[::-1]):
+    """The scan on one algebra object names the expected verdicts over
+    `spaces` in order with its product masks and J's views cold, again with
+    both warm, then in reverse with the views dropped, so that they are
+    filled in reverse order, and in reverse with the masks dropped."""
+    for order, dropped in ((spaces, None), (spaces, None), (spaces[::-1], _J_VIEWS),
+                           (spaces[::-1], _PRODUCT_MASKS)):
+        if dropped is not None:
+            dropped.pop(algebra, None)
         for j in order:
             for theta in THETAS:
                 assert is_theta_mathieu_bruteforce(algebra, j, theta) == expected[j, theta], (
                     j.basis, theta)
+        assert set(_J_VIEWS[algebra]) == {j for j in spaces if not j.is_full()}
 
 
 @pytest.mark.parametrize("build", [lambda: matrix_algebra(2, 3), lambda: upper_triangular(3, 2),
                                    _opposite_upper],
                          ids=["M_2(GF(3))", "UT_3(GF(2))", "op(UT_2(GF(3)))"])
 def test_warm_product_masks_against_the_unpruned_loop(build):
-    """The masks kept per algebra serve every later decision on it, whatever
-    subspace or side built them."""
+    """The masks and views kept per algebra serve every later decision on it,
+    whatever subspace or side built them."""
     algebra = build()
     spaces = list(enumerate_subspaces(algebra.field, algebra.dim))
     _assert_warm_scans_agree(algebra, spaces, _unpruned_verdicts(build, spaces))
@@ -559,6 +579,76 @@ def test_zero_subspace_and_nilpotent_lines_against_the_unpruned_loop(with_table)
     expected = _unpruned_verdicts(lambda: truncated_poly(5, 3), spaces)
     assert all(expected.values())
     _assert_warm_scans_agree(algebra, spaces, expected)
+
+
+def _scalar(rng, field):
+    return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) if field.is_rational else (
+        rng.randrange(field.p))
+
+
+def _combination(rng, field, rows):
+    """A random combination of `rows`, canonical over GF(p)."""
+    coeffs = [_scalar(rng, field) for _ in rows]
+    v = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(len(rows[0]))]
+    return tuple(x % field.p for x in v) if field.p else tuple(v)
+
+
+@pytest.mark.parametrize("field, dim", [(GF(2), 4), (GF(5), 3), (QQ, 4)],
+                         ids=["GF(2)", "GF(5)", "Q"])
+def test_elimination_against_the_view_and_the_residual_map(field, dim):
+    """The re-validator's elimination (`oracles._in_span`), on rows in no
+    echelon form with dependent rows among them, agrees on seeded vectors, in
+    the span and at random, with `Subspace.contains` and, over GF(p), with
+    the bitmap of J's view."""
+    rng = random.Random(7919)
+    algebra = product_algebra(dim, field)
+    for _ in range(30):
+        rows = [tuple(_scalar(rng, field) for _ in range(dim)) for _ in range(rng.randrange(4))]
+        if rows:  # a dependent row, and the rows shuffled
+            rows.append(_combination(rng, field, rows))
+            rng.shuffle(rows)
+        j = Subspace(field, dim, rows)
+        inside = [_combination(rng, field, rows) for _ in range(5) if rows]
+        vectors = inside + [tuple(_scalar(rng, field) for _ in range(dim)) for _ in range(10)]
+        assert all(_in_span(field, rows, v) for v in inside)
+        if not field.is_rational:
+            mem = _j_view(algebra, j, algebra.element_count())[0]
+        for v in vectors:
+            assert _in_span(field, rows, v) == j.contains(v), (rows, v)
+            if not field.is_rational:
+                assert _in_span(field, rows, v) == mem[algebra.index_of(v)], (rows, v)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_revalidator_answers_on_the_decider_scan_witnesses(monkeypatch):
+    """Every verdict, witness and re-validator answer of the benchmark's
+    decider-scan requests (seeds 1 and 2, the brute-force scan first, so that
+    J's view is cached when its witnesses are re-validated) hashes as it did
+    when the re-validator tested membership with `Subspace.contains`, and the
+    answers stand with every view dropped."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import decider_scan
+
+    digest = hashlib.md5()
+    checked = []
+    for seed in (1, 2):
+        state = decider_scan.build(decider_scan.make_requests(seed))
+        for algebra, j, theta in state["jobs"]:
+            for decide in (is_theta_mathieu_bruteforce, is_theta_mathieu_idempotent):
+                verdict = decide(algebra, j, theta)
+                row = [verdict.is_mathieu, verdict.witness]
+                if verdict.witness is not None:
+                    row.append(verify_mathieu_witness(algebra, j, theta, verdict.witness))
+                    checked.append((algebra, j, theta, verdict.witness, row[-1]))
+                digest.update(json.dumps(row).encode())
+    assert len(checked) == 5002
+    assert digest.hexdigest() == "ca511f2075edfc30732ec7de157583d1"
+    for algebra, *_ in checked:
+        _J_VIEWS.pop(algebra, None)
+    for algebra, j, theta, witness, answer in checked:
+        assert verify_mathieu_witness(algebra, j, theta, witness) == answer
 
 
 def uncached_idempotent_walk(algebra, j, theta):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mathieuspaces import oracles
 from mathieuspaces.algebras import (
     THETAS,
     Algebra,
@@ -44,7 +45,7 @@ from mathieuspaces.mathieu import (
     verify_mathieu_witness,
 )
 from mathieuspaces.modules import ModuleSpace, column_module, natural_module
-from mathieuspaces.oracles import _PRODUCT_MASKS
+from mathieuspaces.oracles import _J_VIEWS, _PRODUCT_MASKS
 
 F2, F3 = GF(2), GF(3)
 M2F2 = matrix_algebra(2, 2)
@@ -536,6 +537,137 @@ def test_product_masks_are_bounded_reused_and_dropped_with_the_algebra():
     del ut
     gc.collect()
     assert len(_PRODUCT_MASKS) == held
+
+
+def test_views_of_j_are_shared_by_value_bounded_and_dropped_with_the_algebra(monkeypatch):
+    gc.collect()
+    held = len(_J_VIEWS)
+    ut = upper_triangular(3, 2)
+    rows = [ut.basis_vector(0), ut.basis_vector(3)]
+
+    def decide_on_every_side():
+        for theta in THETAS:
+            is_theta_mathieu_bruteforce(ut, Subspace(ut.field, ut.dim, rows), theta)
+        return list(_J_VIEWS[ut].values())
+
+    # four equal subspaces, one object per side, share one view
+    built = decide_on_every_side()
+    assert len(built) == 1
+    assert len(_J_VIEWS) == held + 1
+    # a warm repeat builds none
+    assert decide_on_every_side()[0] is built[0]
+    # with a budget of ten views, deciding every subspace keeps ten, and the
+    # verdicts are those of the algebra that keeps them all
+    monkeypatch.setattr(oracles, "VIEW_BUDGET", 10 * ut.element_count())
+    small = upper_triangular(3, 2)
+    for j in enumerate_subspaces(ut.field, ut.dim):
+        assert is_theta_mathieu_bruteforce(small, j, "left") == is_theta_mathieu_bruteforce(
+            ut, j, "left"), j.basis
+        assert len(_J_VIEWS[small]) <= 10
+    assert len(_J_VIEWS[small]) == 10
+    assert len(_J_VIEWS) == held + 2
+    del ut, small
+    gc.collect()
+    assert len(_J_VIEWS) == held
+
+
+def _lie_about(monkeypatch, target):
+    """Make the library's membership test lie about `target`: `contains`
+    flips its answer for it, and the residual map of every subspace is that
+    of the subspace with the target's line added, or with a basis row the
+    target needs taken out."""
+    contains, build = Subspace.contains, Subspace._build_residual
+
+    def honest(space):
+        copy = Subspace(space.field, space.ambient_dim, space.basis)
+        build(copy)
+        return copy
+
+    def lying_contains(self, v):
+        return contains(honest(self), v) != (tuple(v) == target)
+
+    def lying_build(self):
+        if contains(honest(self), target):
+            i = next(i for i, c in enumerate(self.pivots) if target[c])
+            rows = self.basis[:i] + self.basis[i + 1:]
+        else:
+            rows = self.basis + (target,)
+        self._residual = build(Subspace(self.field, self.ambient_dim, rows))
+        return self._residual
+
+    monkeypatch.setattr(Subspace, "contains", lying_contains)
+    monkeypatch.setattr(Subspace, "_build_residual", lying_build)
+
+
+def _claimed_product(algebra, witness):
+    """The product a witness claims to leave J."""
+    if witness["kind"] == "ideal":
+        prod, b, c = witness["element"], witness["left"], witness["right"]
+    else:
+        prod = algebra.power_trajectory(witness["a"]).power(witness["power"])
+        b, c = witness["b"], witness["c"]
+    prod = prod if b is None else algebra.multiply(b, prod)
+    return prod if c is None else algebra.multiply(prod, c)
+
+
+def _fixed_witnesses(algebra, j, theta, kind):
+    """A decider's witness of `kind`, and two invalid ones: with the unit as
+    every multiplier, so that the product stays in J, and with a basis vector
+    outside J as the element."""
+    outside = next(e for e in map(algebra.basis_vector, range(algebra.dim))
+                   if not j.contains(e))
+    if kind == "ideal":
+        valid = ideal_violation_witness(algebra, j, theta)
+        keys, element = ("left", "right"), {"element": outside}
+    else:
+        valid = is_theta_mathieu_bruteforce(algebra, j, theta).witness
+        keys, element = ("b", "c"), {"a": outside, "power": 1}
+    unit = {k: None if valid[k] is None else algebra.unit for k in keys}
+    return [valid, dict(valid, **unit), dict(valid, **element)]
+
+
+@pytest.mark.parametrize("build, rows, theta, kind, warm", [
+    (lambda: matrix_algebra(2, 2), [E11], "left", "mathieu", False),
+    (lambda: matrix_algebra(2, 2), [E11], "left", "mathieu", True),
+    (lambda: matrix_algebra(2, 2), trace_zero(2).basis, "two", "mathieu", False),
+    (lambda: matrix_algebra(2, 2), trace_zero(2).basis, "two", "mathieu", True),
+    (lambda: matrix_algebra(2, 3), [E11], "right", "ideal", False),
+    (lambda: matrix_algebra(2, 3), [E11], "right", "ideal", True),
+    (lambda: product_algebra(2, 3), [(1, 2)], "two", "ideal", False),
+    (lambda: matrix_algebra(2, QQ), [E11], "left", "ideal", False),
+    (lambda: product_algebra(3, QQ), [(1, 2, 0)], "two", "ideal", False),
+], ids=["mathieu-M_2(GF(2))-left-cold", "mathieu-M_2(GF(2))-left-warm",
+        "mathieu-M_2(GF(2))-two-cold", "mathieu-M_2(GF(2))-two-warm",
+        "ideal-M_2(GF(3))-right-cold", "ideal-M_2(GF(3))-right-warm",
+        "ideal-GF(3)^2-two-cold", "ideal-M_2(Q)-left", "ideal-Q^3-two"])
+def test_the_revalidator_ignores_a_lying_membership_test(monkeypatch, build, rows, theta, kind,
+                                                         warm):
+    """The re-validator's answers on fixed valid and invalid witnesses stand
+    while `Subspace.contains` and the residual map lie about the claimed
+    product or the claimed element: it tests membership with J's view, when
+    a brute-force scan has cached one, or by an elimination of its own."""
+    algebra = build()
+    fixed = _fixed_witnesses(algebra, Subspace(algebra.field, algebra.dim, rows), theta, kind)
+    expected = [verify_mathieu_witness(build(), Subspace(algebra.field, algebra.dim, rows),
+                                       theta, w) for w in fixed]
+    assert [ok for ok, _ in expected] == [True, False, False]
+    for witness, want in zip(fixed, expected):
+        claimed = witness["element"] if kind == "ideal" else witness["a"]
+        targets = (_claimed_product(algebra, witness), tuple(claimed))
+        for target in filter(any, targets):  # the zero vector lies in every J
+            fresh = build()
+            j = Subspace(fresh.field, fresh.dim, rows)
+            if warm:
+                is_theta_mathieu_bruteforce(fresh, j, theta)
+            honest = j.contains(target)
+            with monkeypatch.context() as patched:
+                _lie_about(patched, target)
+                lying = Subspace(fresh.field, fresh.dim, rows)
+                assert lying.contains(target) != honest
+                assert (not any(lying.reduce(target))) != honest
+                assert verify_mathieu_witness(fresh, lying, theta, witness) == want, (
+                    witness, target)
+            assert (lying in _J_VIEWS.get(fresh, ())) == warm
 
 
 def test_every_negative_verdict_carries_a_valid_witness():

@@ -2,7 +2,11 @@
 
 `is_theta_mathieu_bruteforce` is the oracle the idempotent decider and the
 memoized bulk verdicts are refereed against, and `verify_mathieu_witness`
-re-validates every negative verdict; `_fixpoint_submodule` referees the kernel
+re-validates every negative verdict; both read J through its view
+(`_j_view`, from J's enumerated elements) or, in the re-validator when no view
+is cached, through an elimination against J's basis (`_in_span`), never
+through the residual map the deciders test membership with.
+`_fixpoint_submodule` referees the kernel
 behind `max_submodule`, `_flat_matmul` the library's matrix products, and
 `_horner_eval`, `_double_sum_integral`, `_independent_twist` and
 `_subset_sums_nonzero` the integer polynomial kernels and the subset-sum scan.
@@ -24,26 +28,27 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mathieuspaces"
 PACKAGE = "mathieuspaces"
-ORACLE_NAMES = ("is_theta_mathieu_bruteforce", "_indexed_witness", "verify_mathieu_witness",
-                "_fixpoint_submodule", "_flat_matmul", "_is_nonzero_scalar_of_identity",
+ORACLE_NAMES = ("_j_view", "is_theta_mathieu_bruteforce", "_indexed_witness",
+                "verify_mathieu_witness", "_in_span", "_fixpoint_submodule", "_flat_matmul", "_is_nonzero_scalar_of_identity",
                 "_horner_eval", "_independent_twist", "_subset_sums_nonzero",
                 "_double_sum_integral")
 ALLOWED = frozenset({
-    # imported from the package
-    "normalize_theta", "DEFAULT_ELEMENT_CAP",
+    # imported from the package; `BoundedMemo` bounds the cache of J's views
+    "normalize_theta", "DEFAULT_ELEMENT_CAP", "BoundedMemo",
     # algebras: products, powers and the element enumeration
     "multiply", "power_trajectory", "mult_table", "trajectory_indices", "element_list",
     "element_count", "index_of", "vector_at", "_check_subspace",
     # power trajectories
-    "tail", "cycle", "power", "all_powers_in",
-    # subspaces: membership and the enumeration of their elements
-    "contains", "is_full", "element_indices", "elements",
+    "tail", "cycle", "power",
+    # subspaces: the stored basis and the enumeration of its elements, never
+    # the residual map that membership tests and element indices read
+    "is_full", "elements", "basis",
     # modules and fields
     "actions", "field", "p",
     # polynomials and evaluation configurations, read as stored
     "coeffs_univariate", "terms", "weights", "points",
-    # the field of `MathieuVerdict`, builtin containers and itertools
-    "is_mathieu", "get", "items", "add", "__getitem__", "combinations",
+    # the field of `MathieuVerdict`, builtin containers, `BoundedMemo` and itertools
+    "is_mathieu", "get", "items", "add", "put", "__getitem__", "combinations",
 })
 
 
@@ -116,7 +121,7 @@ def test_every_oracle_lives_in_the_oracle_module():
 
 @pytest.mark.parametrize("source, in_module, in_oracle", [
     ("def oracle(algebra, j):\n    return [e for e in algebra.idempotents() if j.contains(e)]\n",
-     ["idempotents"], ["idempotents"]),
+     ["contains", "idempotents"], ["contains", "idempotents"]),
     ("def oracle(algebra, e):\n    return list(algebra.theta_multiples([e], 'left'))\n",
      ["theta_multiples"], ["theta_multiples"]),
     ("from .linalg import solve_right_kernel\n"
@@ -131,8 +136,14 @@ def test_every_oracle_lives_in_the_oracle_module():
     ("from .algebras import normalize_theta\nfrom .linalg import Subspace\n"
      "def oracle(algebra, j: Subspace, theta) -> Subspace:\n"
      "    return algebra.multiply(j.elements(), normalize_theta(theta))\n", [], []),
+    ("def view(algebra, j, count):\n"
+     "    mem = bytearray(count)\n"
+     "    for row in j.residual:\n"
+     "        mem[algebra.index_of(row)] = 1\n"
+     "    return mem, j.element_indices(), j.contains\n",
+     ["contains", "element_indices", "residual"], ["contains", "element_indices", "residual"]),
 ], ids=["attribute", "method", "import", "unused import", "module attribute", "star import",
-        "allowed"])
+        "allowed", "view reading the residual map"])
 def test_the_guard_fails_closed(source, in_module, in_oracle):
     tree = ast.parse(source)
     assert unallowed_reads(tree, tree) == in_module
