@@ -11,7 +11,6 @@ from .linalg import (
     gaussian_binomial,
     rref,
     solve_right_kernel,
-    subspace_contains,
     subspace_intersect,
     subspace_sum,
 )
@@ -40,10 +39,6 @@ from .mathieu import (
     ElementSet,
     MathieuVerdict,
     is_module_mathieu,
-    is_quasi_stable,
-    is_quasi_stable_algebra,
-    is_stable,
-    is_stable_algebra,
     is_stable_algebra_classified,
     is_theta_ideal,
     is_theta_mathieu_bruteforce,

@@ -64,9 +64,6 @@ class PowerTrajectory:
     tail: tuple
     cycle: tuple
 
-    def all_powers_in(self, s: Subspace) -> bool:
-        return all(s.contains(v) for v in self.tail) and self.cycle_in(s)
-
     def cycle_in(self, s: Subspace) -> bool:
         return all(s.contains(v) for v in self.cycle)
 

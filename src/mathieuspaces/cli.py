@@ -155,10 +155,10 @@ def cmd_is_mathieu(args):
     return 0
 
 
-def cmd_sigma(args, which="sigma"):
+def cmd_sigma_tau(args):
     module = _load_module(args)
     n = _load_subspace(args, module.field)
-    if which == "sigma":
+    if args.verb == "sigma":
         out = sigma(module, n, args.theta, args.cap)
     else:
         out = tau(module, n, args.theta, args.cap, method=args.method)
@@ -169,10 +169,6 @@ def cmd_sigma(args, which="sigma"):
         else [f"{len(out.members)} elements"]
     _emit(args, payload, text)
     return 0
-
-
-def cmd_tau(args):
-    return cmd_sigma(args, which="tau")
 
 
 def cmd_max_submodule(args):
@@ -194,38 +190,23 @@ def cmd_radical(args):
 
 
 def cmd_quasi_stable(args):
-    theta = args.theta
     if args.module:
-        module = _load_module(args)
-        if args.stable:
-            violation = find_stable_violation(module, theta, cap=args.cap)
-        else:
-            violation = find_quasi_stable_violation(module, theta, method=args.method,
-                                                    cap=args.cap)
-        field = module.field
-        if violation is None:
-            payload = {"result": True}
-        else:
-            n, u, witness = violation
-            payload = {"result": False,
-                       "violation": {"subspace": n.to_json(),
-                                     "element": vector_to_json(field, u),
-                                     "witness": witness_to_json(field, witness)}}
+        target = _load_module(args)
+        find = find_stable_violation if args.stable else find_quasi_stable_violation
     else:
-        algebra = _load_algebra(args)
-        field = algebra.field
-        if args.stable:
-            violation = find_algebra_stable_violation(algebra, theta, cap=args.cap)
-        else:
-            violation = find_algebra_quasi_stable_violation(algebra, theta, method=args.method,
-                                                            cap=args.cap)
-        if violation is None:
-            payload = {"result": True}
-        else:
-            j, witness = violation
-            payload = {"result": False,
-                       "violation": {"subspace": j.to_json(),
-                                     "witness": witness_to_json(field, witness)}}
+        target = _load_algebra(args)
+        find = find_algebra_stable_violation if args.stable \
+            else find_algebra_quasi_stable_violation
+    options = {} if args.stable else {"method": args.method}
+    violation = find(target, args.theta, cap=args.cap, **options)
+    payload = {"result": violation is None}
+    if violation is not None:
+        space, *element, witness = violation  # element: u outside N, modules only
+        field = target.field
+        found = {"subspace": space.to_json(), "witness": witness_to_json(field, witness)}
+        if element:
+            found["element"] = vector_to_json(field, element[0])
+        payload["violation"] = found
     _emit(args, payload, [str(payload["result"])])
     return 0
 
@@ -347,9 +328,9 @@ VERBS = {
         _SUBSPACE,
         _arg("--wrt", help="module element as a JSON array (with --module)"),
     ), {"theta": True, "module": True, "method": True}),
-    "sigma": ("stable elements of a subspace", cmd_sigma, (_SUBSPACE,),
+    "sigma": ("stable elements of a subspace", cmd_sigma_tau, (_SUBSPACE,),
               {"theta": True, "module": True}),
-    "tau": ("quasi-stable elements of a subspace", cmd_tau, (_SUBSPACE,),
+    "tau": ("quasi-stable elements of a subspace", cmd_sigma_tau, (_SUBSPACE,),
             {"theta": True, "module": True, "method": True}),
     "max-submodule": ("largest submodule inside a subspace", cmd_max_submodule,
                       (_SUBSPACE,), {"module": True, "cap": False}),

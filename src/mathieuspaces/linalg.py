@@ -226,15 +226,6 @@ class Subspace:
         for coeffs in itertools.product(range(p), repeat=len(self.basis)):
             yield tuple(sum(map(_mul, coeffs, col)) % p for col in cols)
 
-    def element_indices(self) -> list:
-        """The `vector_to_index` of every vector of the subspace (finite fields
-        only), in `elements()` order: coordinate t of an element is the linear
-        form column t of the basis takes on the element's coefficients."""
-        p = self.field.p
-        if p is None:
-            raise ValueError("element indices need a finite field")
-        return form_indices(zip(*self.basis), len(self.basis), p, {})
-
     def to_json(self):
         f = self.field
         return {
@@ -320,10 +311,6 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     if not u.basis or not v.basis:
         return Subspace.zero(u.field, u.ambient_dim)
     return solve_right_kernel(u.field, u.residual + v.residual, u.ambient_dim)
-
-
-def subspace_contains(u: Subspace, v: Sequence) -> bool:
-    return u.contains(v)
 
 
 def preimage_subspace(field: Field, matrix_rows: Sequence[Sequence], target: Subspace,

@@ -246,21 +246,11 @@ def find_quasi_stable_violation(module: ModuleSpace, theta: str, method: str = "
                             _colon_candidates(module, cap))
 
 
-def is_quasi_stable(module: ModuleSpace, theta: str, method: str = "idem",
-                    cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    """Every element outside any subspace N is quasi-stable for N."""
-    return find_quasi_stable_violation(module, theta, method, cap) is None
-
-
 def find_stable_violation(module: ModuleSpace, theta: str,
                           cap: int = DEFAULT_ELEMENT_CAP):
     """First (N, u, witness) with u outside N and (N:u) not a theta-ideal."""
     return _first_violation(module.algebra, normalize_theta(theta), "ideal", cap,
                             _colon_candidates(module, cap))
-
-
-def is_stable(module: ModuleSpace, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    return find_stable_violation(module, theta, cap) is None
 
 
 def find_algebra_quasi_stable_violation(algebra: Algebra, theta: str, method: str = "idem",
@@ -271,12 +261,6 @@ def find_algebra_quasi_stable_violation(algebra: Algebra, theta: str, method: st
                             _unit_avoiding_candidates(algebra, cap))
 
 
-def is_quasi_stable_algebra(algebra: Algebra, theta: str, method: str = "idem",
-                            cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    """Every subspace avoiding the unit is theta-Mathieu."""
-    return find_algebra_quasi_stable_violation(algebra, theta, method, cap) is None
-
-
 def find_algebra_stable_violation(algebra: Algebra, theta: str,
                                   cap: int = DEFAULT_ELEMENT_CAP):
     """First (J, witness) with J avoiding the unit and not a theta-ideal."""
@@ -284,19 +268,10 @@ def find_algebra_stable_violation(algebra: Algebra, theta: str,
                             _unit_avoiding_candidates(algebra, cap))
 
 
-def is_stable_algebra(algebra: Algebra, theta: str, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    """Every subspace avoiding the unit is a theta-ideal."""
-    return find_algebra_stable_violation(algebra, theta, cap) is None
-
-
 @dataclass(frozen=True)
 class StableClassification:
     exhaustive: bool
     classified: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.exhaustive == self.classified
 
 
 def is_stable_algebra_classified(algebra: Algebra, theta: str = "two",
@@ -304,14 +279,9 @@ def is_stable_algebra_classified(algebra: Algebra, theta: str = "two",
     """Exhaustive stability versus the closed-form classification:
     stable iff the algebra is the base field itself, or it is the
     two-dimensional split pair over GF(2)."""
-    exhaustive = is_stable_algebra(algebra, theta, cap)
-    if algebra.dim == 1:
-        classified = True
-    elif algebra.field.p == 2 and algebra.dim == 2:
-        trivial = {algebra.zero(), algebra.unit}
-        classified = any(e not in trivial for e in algebra.idempotents(cap))
-    else:
-        classified = False
+    exhaustive = find_algebra_stable_violation(algebra, theta, cap) is None
+    classified = algebra.dim == 1 or (algebra.field.p == 2 and algebra.dim == 2
+                                      and not has_only_trivial_idempotents(algebra, cap))
     return StableClassification(exhaustive, classified)
 
 

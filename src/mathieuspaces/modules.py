@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .algebras import Algebra, opposite
+from .algebras import Algebra
 from .linalg import (
     BoundedMemo,
     Subspace,
@@ -290,11 +290,6 @@ def natural_module(algebra: Algebra) -> ModuleSpace:
         cols = [algebra.structure[i][j] for j in range(algebra.dim)]
         actions.append(tuple(zip(*cols)))
     return ModuleSpace(algebra, actions, name=f"{algebra.name} as module", check=False)
-
-
-def right_natural_module(algebra: Algebra) -> ModuleSpace:
-    """Right multiplication on the algebra, packaged over the opposite algebra."""
-    return natural_module(opposite(algebra))
 
 
 def column_module(algebra: Algebra, n: int) -> ModuleSpace:

@@ -230,8 +230,8 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
     if kind == "ideal":
         if witness.get("element") is None:
             return False, "ideal violations need an element"
-        v = tuple(witness["element"])
-        if not contains(v):
+        x = tuple(witness["element"])
+        if not contains(x):
             return False, "claimed element is not in the subspace"
         left = witness.get("left")
         right = witness.get("right")
@@ -241,45 +241,39 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
             return False, "left-ideal violations admit only a left multiplier"
         if theta == "right" and left is not None:
             return False, "right-ideal violations admit only a right multiplier"
-        prod = v
-        if left is not None:
-            prod = algebra.multiply(tuple(left), prod)
-        if right is not None:
-            prod = algebra.multiply(prod, tuple(right))
-        if contains(prod):
-            return False, "claimed product actually stays in the subspace"
-        return True, "ideal violation confirmed"
-    if kind != "mathieu":
+        confirmed = "ideal violation confirmed"
+    elif kind == "mathieu":
+        if witness.get("a") is None:
+            return False, "Mathieu violations need an element a"
+        m = witness.get("power")
+        if type(m) is not int:
+            return False, "witness exponent must be an integer"
+        traj = algebra.power_trajectory(tuple(witness["a"]))
+        if not all(map(contains, traj.tail)) or not all(map(contains, traj.cycle)):
+            return False, "witness element does not have all powers in the subspace"
+        if m <= len(traj.tail):
+            return False, "witness exponent does not reach the power cycle"
+        x = traj.power(m)
+        left = witness.get("b")
+        right = witness.get("c")
+        if theta == "left" and (left is None or right is not None):
+            return False, "left violations need exactly a left multiplier"
+        if theta == "right" and (right is None or left is not None):
+            return False, "right violations need exactly a right multiplier"
+        if theta == "pre" and (left is None) == (right is None):
+            return False, "one-sided violation expected"
+        if theta == "two" and (left is None or right is None):
+            return False, "two-sided violations need both multipliers"
+        confirmed = "recurring product escapes the subspace"
+    else:
         return False, f"unknown witness kind {kind!r}"
-    if witness.get("a") is None:
-        return False, "Mathieu violations need an element a"
-    m = witness.get("power")
-    if type(m) is not int:
-        return False, "witness exponent must be an integer"
-    traj = algebra.power_trajectory(tuple(witness["a"]))
-    if not all(map(contains, traj.tail)) or not all(map(contains, traj.cycle)):
-        return False, "witness element does not have all powers in the subspace"
-    if m <= len(traj.tail):
-        return False, "witness exponent does not reach the power cycle"
-    x = traj.power(m)
-    prod = x
-    b = witness.get("b")
-    c = witness.get("c")
-    if theta == "left" and (b is None or c is not None):
-        return False, "left violations need exactly a left multiplier"
-    if theta == "right" and (c is None or b is not None):
-        return False, "right violations need exactly a right multiplier"
-    if theta == "pre" and (b is None) == (c is None):
-        return False, "one-sided violation expected"
-    if theta == "two" and (b is None or c is None):
-        return False, "two-sided violations need both multipliers"
-    if b is not None:
-        prod = algebra.multiply(tuple(b), prod)
-    if c is not None:
-        prod = algebra.multiply(prod, tuple(c))
-    if contains(prod):
+    if left is not None:
+        x = algebra.multiply(tuple(left), x)
+    if right is not None:
+        x = algebra.multiply(x, tuple(right))
+    if contains(x):
         return False, "claimed product actually stays in the subspace"
-    return True, "recurring product escapes the subspace"
+    return True, confirmed
 
 
 def _in_span(field, rows, v) -> bool:

@@ -27,6 +27,13 @@ def _require(obj, key, where):
     return obj[key]
 
 
+def _require_int(obj, key, where):
+    value = _require(obj, key, where)
+    if type(value) is not int:  # a float such as 4.0 would compare equal to 4
+        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
 def load_json(path: str):
     try:
         with open(path) as fh:
@@ -70,7 +77,7 @@ def matrix_to_json(field: Field, rows) -> list:
 
 def algebra_from_json(obj) -> Algebra:
     field = parse_field(_require(obj, "field", "algebra"))
-    dim = _require(obj, "dim", "algebra")
+    dim = _require_int(obj, "dim", "algebra")
     structure = _require(obj, "structure", "algebra")
     unit = parse_vector(field, _require(obj, "unit", "algebra"), "algebra.unit")
     if not isinstance(structure, list) or len(structure) != dim:
@@ -115,7 +122,7 @@ def module_from_json(obj, base_dir: str = ".") -> ModuleSpace:
         module = ModuleSpace(algebra, mats, name=obj.get("name"))
     except ModuleAxiomError as exc:
         raise SchemaError(str(exc)) from exc
-    if "dim" in obj and obj["dim"] != module.dim:
+    if "dim" in obj and _require_int(obj, "dim", "module") != module.dim:
         raise SchemaError(f"module.dim says {obj['dim']} but actions are {module.dim}-dimensional")
     return module
 
@@ -133,9 +140,7 @@ def module_to_json(m: ModuleSpace) -> dict:
 
 
 def subspace_from_json(field: Field, obj) -> Subspace:
-    ambient = _require(obj, "ambient", "subspace")
-    if type(ambient) is not int:  # a float such as 4.0 would compare equal to 4
-        raise SchemaError(f"subspace.ambient: expected an integer, got {ambient!r}")
+    ambient = _require_int(obj, "ambient", "subspace")
     rows = parse_matrix(field, _require(obj, "basis", "subspace"), "subspace.basis")
     try:
         return Subspace(field, ambient, rows)

@@ -202,10 +202,12 @@ def _timed_entry(check: str, instance: str, claim: str, expected, ok, scan) -> C
                       runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _skipped_entry(check: str, instance: str, claim: str) -> CheckEntry:
-    """The passing entry of an instance whose element count exceeds the cap."""
+def _skipped_entry(check: str, instance: str, claim: str,
+                   why: str = "element count exceeds cap") -> CheckEntry:
+    """The passing entry of an instance the profile leaves out, by default
+    because its element count exceeds the cap."""
     return CheckEntry(check=check, instance=instance, claim=claim, expected="skipped",
-                      computed="skipped: element count exceeds cap", passed=True)
+                      computed=f"skipped: {why}", passed=True)
 
 
 def _sets(module, n_space: Subspace, theta: str, cap: int) -> tuple:
@@ -414,9 +416,8 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
                             find_violation, classify) -> list:
     """One entry per (builder, expected) case.  It passes when
     `find_violation` finds a violation on no side exactly when `expected`
-    holds, the first violation's witness re-validates, and `classify(algebra)`
-    returns (closed-form verdict, agrees) with the verdict equal to `expected`
-    and `agrees` true."""
+    holds, the first violation's witness re-validates, and the closed-form
+    verdict `classify(algebra)` equals `expected`."""
     entries = []
     for builder, expected in cases:
         algebra = builder_spec_to_algebra(builder)
@@ -433,9 +434,9 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
                 payload = {"algebra_builder": builder, "theta": theta,
                            "subspace": j.to_json(),
                            "witness": witness_to_json(algebra.field, witness)}
-        classified, agrees = classify(algebra)
+        classified = classify(algebra)
         passed = (all(v == expected for v in verdicts.values())
-                  and agrees and classified == expected and witness_ok)
+                  and classified == expected and witness_ok)
         entries.append(CheckEntry(
             check=check,
             instance=f"{algebra.name}, all sides",
@@ -472,8 +473,7 @@ def check_quasi_stable_classification(profile: Profile) -> list:
     ]
     return _classification_entries(
         profile, "quasi-stable-classification", claim, cases,
-        find_algebra_quasi_stable_violation,
-        lambda algebra: (_classified_quasi_stable(algebra), True))
+        find_algebra_quasi_stable_violation, _classified_quasi_stable)
 
 
 def check_stable_classification(profile: Profile) -> list:
@@ -487,13 +487,10 @@ def check_stable_classification(profile: Profile) -> list:
         (["product", 2, 3], False),
         (["truncated", 2, 2], False),
     ]
-
-    def crossed(algebra):
-        result = is_stable_algebra_classified(algebra, cap=profile.element_cap)
-        return result.classified, result.agree
-
-    return _classification_entries(profile, "stable-classification", claim, cases,
-                                   find_algebra_stable_violation, crossed)
+    return _classification_entries(
+        profile, "stable-classification", claim, cases, find_algebra_stable_violation,
+        lambda algebra: is_stable_algebra_classified(
+            algebra, cap=profile.element_cap).classified)
 
 
 # -- check 7: weight hyperplanes in the componentwise product algebra -----------------
@@ -521,6 +518,9 @@ def check_product_weight_hyperplanes(profile: Profile) -> list:
 
     for length, p in [(2, 3), (2, 5), (3, 3)]:
         if p not in profile.primes:
+            entries.append(_skipped_entry("product-weight-hyperplane",
+                                          f"length={length} p={p}", claim,
+                                          why="prime not in the profile"))
             continue
         fld = GF(p)
         entries.append(_timed_entry(

@@ -10,6 +10,7 @@ import pytest
 from mathieuspaces.algebras import (
     THETA_ALIASES,
     THETAS,
+    field_algebra,
     ideal_violation_witness,
     matrix_algebra,
     normalize_theta,
@@ -524,6 +525,26 @@ def test_is_ideal_refuses_an_ambient_that_is_no_integer(tmp_path, capsys, ambien
     assert f"subspace.ambient: expected an integer, got {ambient!r}" in err
     with pytest.raises(SchemaError, match="subspace.ambient"):
         subspace_from_json(GF(2), {"ambient": ambient, "basis": []})
+
+
+@pytest.mark.parametrize("kind", ["algebra", "module"])
+@pytest.mark.parametrize("algebra, dim", [
+    (matrix_algebra(2, 2), 4.0),
+    (field_algebra(2), True),
+    (matrix_algebra(2, 2), "4"),
+], ids=["float", "bool", "string"])
+def test_a_dim_that_is_no_integer_is_refused(tmp_path, capsys, kind, algebra, dim):
+    # 4.0 == 4 and True == 1, so only the type tells them from the true dimension
+    obj = algebra_to_json(algebra) if kind == "algebra" else module_to_json(natural_module(algebra))
+    obj["dim"] = dim
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps(obj))
+    sub_path = tmp_path / "n.json"
+    sub_path.write_text(json.dumps({"ambient": algebra.dim, "basis": []}))
+    verb = "is-ideal" if kind == "algebra" else "max-submodule"
+    code, out, err = run_cli(capsys, verb, f"--{kind}", str(path), "--subspace", str(sub_path))
+    assert (code, out) == (2, "")
+    assert f"{kind}.dim: expected an integer, got {dim!r}" in err
 
 
 @pytest.mark.parametrize("check", [

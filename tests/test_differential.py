@@ -439,7 +439,7 @@ def unpruned_bruteforce(algebra, j, theta, cap):
     elems = algebra.element_list(cap)
     for a in elems:
         traj = algebra.power_trajectory(a)
-        if not traj.all_powers_in(j):
+        if not all(map(j.contains, traj.tail + traj.cycle)):
             continue
         for pos, x in enumerate(traj.cycle):
             power = len(traj.tail) + pos + 1

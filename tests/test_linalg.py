@@ -22,11 +22,9 @@ from mathieuspaces.linalg import (
     rref,
     rref_rows,
     solve_right_kernel,
-    subspace_contains,
     subspace_count,
     subspace_intersect,
     subspace_sum,
-    vector_to_index,
 )
 
 F2, F3 = GF(2), GF(3)
@@ -125,8 +123,8 @@ def test_dimension_formula(u, v):
 @settings(max_examples=40, deadline=None)
 @given(_random_subspace_strategy(3, 3, 3), _random_subspace_strategy(3, 3, 3))
 def test_equality_agrees_with_mutual_membership(u, v):
-    mutual = (all(subspace_contains(u, row) for row in v.basis)
-              and all(subspace_contains(v, row) for row in u.basis))
+    mutual = (all(u.contains(row) for row in v.basis)
+              and all(v.contains(row) for row in u.basis))
     assert (u == v) == mutual
 
 
@@ -437,23 +435,6 @@ def test_subspace_elements_in_coefficient_order(p):
 def test_rational_subspace_elements_refused():
     with pytest.raises(ValueError):
         next(Subspace(QQ, 2, [(1, 2)]).elements())
-
-
-@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2)])
-def test_element_indices_are_the_indices_of_the_elements_in_order(p, n):
-    """Every subspace, the zero and the full one included: the digit-by-digit
-    indices equal `vector_to_index` of `elements()`, order included."""
-    field = GF(p)
-    spaces = list(enumerate_subspaces(field, n))
-    assert spaces[0].is_zero() and spaces[-1].is_full()
-    for s in spaces:
-        assert s.element_indices() == [vector_to_index(field, v) for v in s.elements()]
-    assert Subspace.full(field, n).element_indices() == list(range(p ** n))
-
-
-def test_rational_element_indices_refused():
-    with pytest.raises(ValueError, match="finite field"):
-        Subspace(QQ, 2, [(1, 2)]).element_indices()
 
 
 def test_bounded_memo_drops_the_oldest_first():

@@ -33,9 +33,6 @@ from mathieuspaces.mathieu import (
     find_quasi_stable_violation,
     find_stable_violation,
     is_module_mathieu,
-    is_quasi_stable,
-    is_quasi_stable_algebra,
-    is_stable_algebra,
     is_stable_algebra_classified,
     is_theta_ideal,
     is_theta_mathieu_bruteforce,
@@ -323,16 +320,17 @@ def test_quotient_transfer_of_the_mathieu_property():
 
 
 def test_quasi_stable_algebras():
-    assert all(is_quasi_stable_algebra(product_algebra(2, 2), th) for th in THETAS)
-    assert all(is_quasi_stable_algebra(truncated_poly(3, 3), th) for th in THETAS)
-    assert not is_quasi_stable_algebra(M2F2, "two")
+    for algebra in (product_algebra(2, 2), truncated_poly(3, 3)):
+        assert all(find_algebra_quasi_stable_violation(algebra, th) is None for th in THETAS)
+    assert find_algebra_quasi_stable_violation(M2F2, "two") is not None
 
 
 def test_quasi_stable_module_matches_algebra_verdict():
     for algebra in (product_algebra(2, 2), truncated_poly(2, 2), M2F2):
         nat = natural_module(algebra)
         for theta in THETAS:
-            assert is_quasi_stable(nat, theta) == is_quasi_stable_algebra(algebra, theta)
+            assert ((find_quasi_stable_violation(nat, theta) is None)
+                    == (find_algebra_quasi_stable_violation(algebra, theta) is None))
 
 
 def test_quasi_stability_transfers_to_other_modules():
@@ -341,20 +339,20 @@ def test_quasi_stability_transfers_to_other_modules():
     nat = natural_module(base)
     quot, _ = nat.quotient_module(Subspace(F2, 3, [(0, 0, 1)]))
     for theta in THETAS:
-        assert is_quasi_stable(quot, theta)
+        assert find_quasi_stable_violation(quot, theta) is None
     # a non-quasi-stable algebra also fails on its column module
     col = column_module(M2F2, 2)
     for theta in THETAS:
-        assert not is_quasi_stable(col, theta)
+        assert find_quasi_stable_violation(col, theta) is not None
 
 
 def test_stable_classification_results():
-    assert is_stable_algebra_classified(field_algebra(2)).exhaustive
-    assert is_stable_algebra_classified(field_algebra(2)).agree
+    base = is_stable_algebra_classified(field_algebra(2))
+    assert base.exhaustive and base.classified
     split2 = is_stable_algebra_classified(product_algebra(2, 2))
-    assert split2.exhaustive and split2.classified and split2.agree
+    assert split2.exhaustive and split2.classified
     split3 = is_stable_algebra_classified(product_algebra(2, 3))
-    assert not split3.exhaustive and not split3.classified and split3.agree
+    assert not split3.exhaustive and not split3.classified
 
 
 def test_unstable_split_pair_has_concrete_witness():

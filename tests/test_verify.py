@@ -18,6 +18,7 @@ from mathieuspaces.verify import (
     SUITE,
     Profile,
     check_column_module_sets,
+    check_product_weight_hyperplanes,
     check_trace_hyperplane_sets,
     run_suite,
 )
@@ -64,8 +65,8 @@ SCENARIOS = {
 # md5 of the `--no-timing` JSON of each failing report: which sample fails
 # first, its payload and the RNG draws after it are part of the report
 PINNED = {
-    "brute-tau-witness": "e005d4ad8887b8f8a1c194c852969cb0",
-    "idem-sigma-violation": "826fa09c9338e9f10b114528a0b38e11",
+    "brute-tau-witness": "0403f63b97427ab3ecae481655eb7eef",
+    "idem-sigma-violation": "8a5f2608446eddac138aaa6f0e8851dc",
 }
 
 
@@ -87,15 +88,18 @@ def test_entries_carry_their_check_name(name, fn):
     assert {e.check for e in entries} == {name}
 
 
-@pytest.mark.parametrize("name, check, profile", [
-    ("column-module-sets", check_column_module_sets, Profile(primes=(2,), element_cap=8)),
+@pytest.mark.parametrize("name, check, profile, why, count", [
+    ("column-module-sets", check_column_module_sets, Profile(primes=(2,), element_cap=8),
+     "element count exceeds cap", 1),
     ("trace-hyperplane-sets", check_trace_hyperplane_sets,
-     Profile(primes=(5,), element_cap=600)),
-], ids=["column-module-sets", "trace-hyperplane-sets"])
-def test_column_module_skipped_entry_is_labelled(name, check, profile):
+     Profile(primes=(5,), element_cap=600), "element count exceeds cap", 1),
+    ("product-weight-hyperplane", check_product_weight_hyperplanes, Profile(primes=(2,)),
+     "prime not in the profile", 3),
+], ids=["column-module-sets", "trace-hyperplane-sets", "product-weight-hyperplane"])
+def test_column_module_skipped_entry_is_labelled(name, check, profile, why, count):
     entries = check(profile)
     assert [(e.check, e.expected, e.computed, e.passed) for e in entries] == [
-        (name, "skipped", "skipped: element count exceeds cap", True)]
+        (name, "skipped", f"skipped: {why}", True)] * count
 
 
 def test_max_submodule_entry_fails_when_the_kernel_leaves_the_fixpoint(monkeypatch):
