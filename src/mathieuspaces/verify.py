@@ -3,10 +3,12 @@ on finite instances and the results are collected in a deterministic report.
 
 Each check compares an independently computed expectation (closed-form
 formulas, hand-rolled matrix arithmetic, double-sum integration) against the
-library's deciders.  An entry times one scan that returns None when its claim
-holds or the failure payload (`_timed_entry`).  The two classification checks
-share `_classification_entries`; their entries embed the first violation's
-witness, which the standalone `verify-witness` verb re-validates.
+library's deciders.  `_timed_entry` is the one entry builder: it times one
+scan that returns None when its claim holds or the failure payload.  Every
+enumeration runs inside a scan, and a cap refusal (`EnumerationCapExceeded`)
+makes the entry a skipped one, so the entry list does not depend on the cap.
+The two classification checks share `_classification_entries`; their entries
+embed the first violation's witness, which `verify-witness` re-validates.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ from .algebras import (
 from .fields import GF, QQ, Field
 from .linalg import (
     DEFAULT_ELEMENT_CAP,
+    EnumerationCapExceeded,
     Subspace,
     enumerate_subspaces,
     enumerate_vectors,
     mat_vec,
     preimage_subspace,
     solve_right_kernel,
+    subspace_count,
 )
 from .mathieu import (
     find_algebra_quasi_stable_violation,
@@ -75,9 +79,10 @@ from .serialize import vector_to_json, witness_to_json
 @dataclass
 class Profile:
     """Sizes of the battery.  `primes` and `matrix_sizes` are non-empty tuples
-    of primes and of sizes of at least 2, every other field is an int, and
-    every one but `seed` is a count, which must not be negative.  A profile
-    that would drop a check is refused when it is built."""
+    of distinct primes and of distinct sizes of at least 2, every other field
+    is an int, and every one but `seed` is a count, which must not be
+    negative.  A profile that would drop or repeat a check is refused when it
+    is built."""
 
     primes: tuple = (2, 3, 5)
     matrix_sizes: tuple = (2,)
@@ -93,8 +98,10 @@ class Profile:
     def __post_init__(self):
         for key, value in vars(self).items():
             if key in ("primes", "matrix_sizes"):
-                if not isinstance(value, tuple) or not value or not all(map(_is_int, value)):
-                    raise ValueError(f"profile key {key!r} must be a non-empty tuple of ints")
+                if (not isinstance(value, tuple) or not value or not all(map(_is_int, value))
+                        or len(set(value)) != len(value)):
+                    raise ValueError(
+                        f"profile key {key!r} must be a non-empty tuple of distinct ints")
             elif not _is_int(value):
                 raise ValueError(f"profile key {key!r} must be an int")
             elif value < 0 and key != "seed":
@@ -177,6 +184,8 @@ class VerificationReport:
         for e in self.entries:
             mark = "PASS" if e.passed else "FAIL"
             timing = f" ({e.runtime_ms:.0f} ms)" if with_timing else ""
+            if e.expected == "skipped":
+                mark, timing = "SKIP", f" ({e.computed})"
             lines.append(f"[{mark}] {e.check} :: {e.instance}{timing}")
             if not e.passed:
                 lines.append(f"       claim:    {e.claim}")
@@ -194,26 +203,28 @@ def _rng(profile: Profile, tag: str) -> random.Random:
 def _timed_entry(check: str, instance: str, claim: str, expected, ok, scan) -> CheckEntry:
     """Time `scan()` and build its entry.  `scan` returns None when the claim
     holds, and the entry reports `ok` as computed; otherwise it returns the
-    failure payload, which the entry reports instead."""
+    failure payload, which the entry reports instead, or a cap refusal, which
+    makes the entry a skipped one."""
     t0 = time.perf_counter()
-    failure = scan()
+    try:
+        failure = scan()
+    except EnumerationCapExceeded as exc:
+        return _skipped_entry(check, instance, claim, why=str(exc))
     return CheckEntry(check=check, instance=instance, claim=claim, expected=expected,
                       computed=ok if failure is None else failure, passed=failure is None,
                       runtime_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _skipped_entry(check: str, instance: str, claim: str,
-                   why: str = "element count exceeds cap") -> CheckEntry:
-    """The passing entry of an instance the profile leaves out, by default
-    because its element count exceeds the cap."""
+def _skipped_entry(check: str, instance: str, claim: str, why: str) -> CheckEntry:
+    """The passing entry of an instance the profile leaves out, and why."""
     return CheckEntry(check=check, instance=instance, claim=claim, expected="skipped",
                       computed=f"skipped: {why}", passed=True)
 
 
 def _sets(module, n_space: Subspace, theta: str, cap: int) -> tuple:
-    """(sigma, tau) of N as frozensets."""
-    return (frozenset(sigma(module, n_space, theta, cap)),
-            frozenset(tau(module, n_space, theta, cap)))
+    """(sigma, tau) of N as frozensets; tau first, as it refuses an algebra over the cap."""
+    tau_set = frozenset(tau(module, n_space, theta, cap))
+    return frozenset(sigma(module, n_space, theta, cap)), tau_set
 
 
 def _pulled_back(field: Field, dim: int, apply, target, cap: int) -> frozenset:
@@ -232,38 +243,37 @@ def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
 
 
 def check_oracle_agreement(profile: Profile) -> list:
-    entries = []
-    exhaustive = [["product", 2, 2], ["truncated", 2, 2], ["truncated", 2, 3], ["upper", 2, 2]]
-    for builder in exhaustive:
-        algebra = builder_spec_to_algebra(builder)
-        subspaces = list(enumerate_subspaces(algebra.field, algebra.dim, profile.element_cap))
-        entries += _oracle_entries(profile, algebra, subspaces,
-                                   f"all {len(subspaces)} subspaces")
-    for n, p in ((2, 2), (2, 3)):
-        algebra = matrix_algebra(n, p)
-        pool = list(enumerate_subspaces(algebra.field, algebra.dim, profile.element_cap))
-        rng = _rng(profile, f"oracle/{n}/{p}")
-        sample = [pool[rng.randrange(len(pool))] for _ in range(profile.subspace_samples)]
-        entries += _oracle_entries(profile, algebra, sample,
-                                   f"{profile.subspace_samples} sampled subspaces")
-    return entries
-
-
-def _oracle_entries(profile, algebra, subspaces, scope):
     claim = "brute-force power scan and the idempotent criterion give the same verdict"
+    cap, samples = profile.element_cap, profile.subspace_samples
+    exhaustive = [["product", 2, 2], ["truncated", 2, 2], ["truncated", 2, 3], ["upper", 2, 2]]
+    sampled = [(2, 2), (2, 3)]
+    cases = ([(builder_spec_to_algebra(builder), None) for builder in exhaustive]
+             + [(matrix_algebra(n, p), _rng(profile, f"oracle/{n}/{p}")) for n, p in sampled])
+    entries = []
+    for algebra, rng in cases:
+        # every subspace, or a sample drawn with `rng`; the four sides share one list
+        @functools.cache
+        def subspaces():
+            pool = list(enumerate_subspaces(algebra.field, algebra.dim, cap))
+            if rng is None:
+                return pool
+            return [pool[rng.randrange(len(pool))] for _ in range(samples)]
 
-    def disagreement(theta):
-        for j in subspaces:
-            brute = is_theta_mathieu_bruteforce(algebra, j, theta, profile.element_cap)
-            idem = is_theta_mathieu_idempotent(algebra, j, theta, profile.element_cap)
-            if brute.is_mathieu != idem.is_mathieu:
-                return {"subspace": j.to_json(), "brute": brute.is_mathieu,
-                        "idempotent": idem.is_mathieu}
+        def disagreement(theta):
+            for j in subspaces():
+                brute = is_theta_mathieu_bruteforce(algebra, j, theta, cap)
+                idem = is_theta_mathieu_idempotent(algebra, j, theta, cap)
+                if brute.is_mathieu != idem.is_mathieu:
+                    return {"subspace": j.to_json(), "brute": brute.is_mathieu,
+                            "idempotent": idem.is_mathieu}
 
-    return [_timed_entry("oracle-agreement", f"{algebra.name}, theta={theta}, {scope}",
-                         claim, "verdicts agree", "verdicts agree",
-                         lambda: disagreement(theta))
-            for theta in THETAS]
+        scope = (f"all {subspace_count(algebra.dim, algebra.field.p)} subspaces" if rng is None
+                 else f"{samples} sampled subspaces")
+        entries += [_timed_entry("oracle-agreement", f"{algebra.name}, theta={theta}, {scope}",
+                                 claim, "verdicts agree", "verdicts agree",
+                                 lambda: disagreement(theta))
+                    for theta in THETAS]
+    return entries
 
 
 # -- check 2: sigma/tau of subspaces of the column module ----------------------------
@@ -276,18 +286,13 @@ def check_column_module_sets(profile: Profile) -> list:
              "(other sides) for the zero space, and zero otherwise")
     for p in profile.primes:
         for n in profile.matrix_sizes:
-            instance_base = f"p={p} n={n}"
-            if p ** (n * n) > profile.element_cap:
-                entries.append(_skipped_entry("column-module-sets", instance_base, claim))
-                continue
             fld = GF(p)
             module = column_module(matrix_algebra(n, p), n)
-            all_vectors = frozenset(enumerate_vectors(fld, n, profile.element_cap))
             zero_only = frozenset({(0,) * n})
-            subspaces = list(enumerate_subspaces(fld, n, profile.element_cap))
 
             def mismatch(theta):
-                for n_space in subspaces:
+                all_vectors = frozenset(enumerate_vectors(fld, n, profile.element_cap))
+                for n_space in enumerate_subspaces(fld, n, profile.element_cap):
                     if n_space.is_full():
                         expected = all_vectors
                     elif n_space.is_zero():
@@ -301,7 +306,7 @@ def check_column_module_sets(profile: Profile) -> list:
 
             entries += [_timed_entry(
                 "column-module-sets",
-                f"{instance_base} theta={theta}, all {len(subspaces)} subspaces", claim,
+                f"p={p} n={n} theta={theta}, all {subspace_count(n, p)} subspaces", claim,
                 "three-case classification", "matches", lambda: mismatch(theta))
                 for theta in THETAS]
     return entries
@@ -317,15 +322,12 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
              "annihilator of X; tau also admits Y with YX a nonzero multiple of the "
              "identity exactly when the characteristic exceeds n")
     for p in profile.primes:
-        if p ** (n * n) > profile.element_cap:
-            entries.append(_skipped_entry("trace-hyperplane-sets", f"M_{n}(GF({p}))", claim))
-            continue
         fld = GF(p)
         module = natural_module(matrix_algebra(n, p))
-        elements = list(enumerate_vectors(fld, n * n, profile.element_cap))
         zero = (0,) * (n * n)
 
         def mismatch():
+            elements = list(enumerate_vectors(fld, n * n, profile.element_cap))
             for x in elements:
                 # Tr(YX) as a functional of Y: coefficient of Y[i][j] is X[j][i]
                 functional = tuple(x[j * n + i] for i in range(n) for j in range(n))
@@ -348,7 +350,7 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
                                 "tau_ok": got_tau == expected_tau}
 
         entries.append(_timed_entry(
-            "trace-hyperplane-sets", f"M_{n}(GF({p})), all {len(elements)} matrices X, all sides",
+            "trace-hyperplane-sets", f"M_{n}(GF({p})), all {p ** (n * n)} matrices X, all sides",
             claim, "annihilator formula", "matches", mismatch))
     return entries
 
@@ -421,33 +423,29 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
     entries = []
     for builder, expected in cases:
         algebra = builder_spec_to_algebra(builder)
-        t0 = time.perf_counter()
-        verdicts = {}
-        payload = None
-        witness_ok = True
-        for theta in THETAS:
-            violation = find_violation(algebra, theta, cap=profile.element_cap)
-            verdicts[theta] = violation is None
-            if violation is not None and payload is None:
-                j, witness = violation
-                witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
-                payload = {"algebra_builder": builder, "theta": theta,
-                           "subspace": j.to_json(),
-                           "witness": witness_to_json(algebra.field, witness)}
-        classified = classify(algebra)
-        passed = (all(v == expected for v in verdicts.values())
-                  and classified == expected and witness_ok)
-        entries.append(CheckEntry(
-            check=check,
-            instance=f"{algebra.name}, all sides",
-            claim=claim,
-            expected=expected,
-            computed={"verdicts": verdicts, "classified": classified,
-                      "witness_validated": witness_ok},
-            passed=passed,
-            witness=payload,
-            runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        ))
+        ok = {"verdicts": dict.fromkeys(THETAS, expected), "classified": expected,
+              "witness_validated": True}
+        payload = {}  # the first violation's, filled by the scan
+
+        def mismatch():
+            verdicts = {}
+            witness_ok = True
+            for theta in THETAS:
+                violation = find_violation(algebra, theta, cap=profile.element_cap)
+                verdicts[theta] = violation is None
+                if violation is not None and not payload:
+                    j, witness = violation
+                    witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
+                    payload.update(algebra_builder=builder, theta=theta, subspace=j.to_json(),
+                                   witness=witness_to_json(algebra.field, witness))
+            computed = {"verdicts": verdicts, "classified": classify(algebra),
+                        "witness_validated": witness_ok}
+            if computed != ok:
+                return computed
+
+        entry = _timed_entry(check, f"{algebra.name}, all sides", claim, expected, ok, mismatch)
+        entry.witness = payload or None
+        entries.append(entry)
     return entries
 
 

@@ -330,6 +330,10 @@ def test_text_report_without_timing_is_byte_stable(tmp_path, capsys):
     report = VerificationReport([entry])
     assert report.to_text().splitlines()[0] == "[PASS] c :: i (12 ms)"
     assert report.to_text(with_timing=False).splitlines()[0] == "[PASS] c :: i"
+    skipped = CheckEntry(check="c", instance="i", claim="", expected="skipped",
+                         computed="skipped: enumeration of 9 elements exceeds cap 8", passed=True)
+    assert VerificationReport([skipped]).to_text().splitlines() == [
+        "[SKIP] c :: i (skipped: enumeration of 9 elements exceeds cap 8)", "1 passed, 0 failed"]
 
 
 def test_gen_opposite_and_quotient(tmp_path, capsys):
@@ -468,6 +472,13 @@ def test_an_explicit_cap_overrides_the_profile_even_at_the_default(tmp_path, cap
     assert run_cli(capsys, *argv, str(capped), "--cap", str(DEFAULT_ELEMENT_CAP)) == at_default
     # without --cap the profile's cap holds, and 600 skips the GF(5) trace hyperplanes
     assert run_cli(capsys, *argv, str(capped)) != at_default
+
+
+def test_a_small_cap_skips_entries_and_still_reports_the_whole_battery(capsys):
+    code, out, err = run_cli(capsys, "verify-paper", "--no-timing", "--cap", "100")
+    report = json.loads(out)
+    assert (code, report["status"], len(report["entries"])) == (0, "pass", 81)
+    assert "Traceback" not in err
 
 
 def test_default_and_benchmark_profiles_load():
@@ -757,7 +768,7 @@ def test_explicit_checks_run_in_parallel_with_the_serial_report(monkeypatch):
     checks = [("division-algebra-sets", verify.check_division_algebra_sets),
               ("product-weight-hyperplane", verify.check_product_weight_hyperplanes)]
     profile = Profile(primes=(2,), subspace_samples=5, pair_samples=12,
-                      hom_samples=4, eval_configs=4, integral_samples=5)
+                      hom_samples=4, eval_configs=4, integral_samples=5, element_cap=4)
     serial = run_suite(profile, checks=checks).to_json(with_timing=False)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     pools = []

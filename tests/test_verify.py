@@ -5,6 +5,7 @@ Here the library names that `verify` looks up are replaced by wrong stand-ins,
 so every check reaches its failure branch, and the resulting report is pinned.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -90,9 +91,9 @@ def test_entries_carry_their_check_name(name, fn):
 
 @pytest.mark.parametrize("name, check, profile, why, count", [
     ("column-module-sets", check_column_module_sets, Profile(primes=(2,), element_cap=8),
-     "element count exceeds cap", 1),
+     "enumeration of 16 elements exceeds cap 8", 4),
     ("trace-hyperplane-sets", check_trace_hyperplane_sets,
-     Profile(primes=(5,), element_cap=600), "element count exceeds cap", 1),
+     Profile(primes=(5,), element_cap=600), "enumeration of 625 elements exceeds cap 600", 1),
     ("product-weight-hyperplane", check_product_weight_hyperplanes, Profile(primes=(2,)),
      "prime not in the profile", 3),
 ], ids=["column-module-sets", "trace-hyperplane-sets", "product-weight-hyperplane"])
@@ -100,6 +101,23 @@ def test_column_module_skipped_entry_is_labelled(name, check, profile, why, coun
     entries = check(profile)
     assert [(e.check, e.expected, e.computed, e.passed) for e in entries] == [
         (name, "skipped", f"skipped: {why}", True)] * count
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    return run_suite(SMALL).to_json(with_timing=False)["entries"]
+
+
+@pytest.mark.parametrize("cap", [1, 16, 100, 600])
+def test_a_cap_turns_entries_into_skipped_ones_and_keeps_the_entry_list(small_report, cap):
+    entries = run_suite(dataclasses.replace(SMALL, element_cap=cap)).to_json(
+        with_timing=False)["entries"]
+    assert [(e["check"], e["instance"]) for e in entries] == [
+        (e["check"], e["instance"]) for e in small_report]
+    for entry, default in zip(entries, small_report):
+        assert entry == default or (
+            entry["pass"] and entry["expected"] == "skipped"
+            and entry["computed"].startswith("skipped: enumeration of")), entry
 
 
 def test_max_submodule_entry_fails_when_the_kernel_leaves_the_fixpoint(monkeypatch):
@@ -119,6 +137,8 @@ def test_max_submodule_entry_fails_when_the_kernel_leaves_the_fixpoint(monkeypat
     {"matrix_sizes": (1,)},  # column-module-sets used to skip it without an entry
     {"element_cap": -5},
     {"pair_samples": 2.5},
+    {"primes": (2, 2)},
+    {"matrix_sizes": (2, 2)},
 ])
 def test_profile_refuses_bad_values_when_built(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
