@@ -39,6 +39,7 @@ from .mathieu import (
     ElementSet,
     MathieuVerdict,
     is_module_mathieu,
+    is_quasi_stable_algebra_classified,
     is_stable_algebra_classified,
     is_theta_ideal,
     is_theta_mathieu_bruteforce,

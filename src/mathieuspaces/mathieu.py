@@ -11,7 +11,6 @@ re-validates from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebras import Algebra, ideal_violation_witness, normalize_theta
@@ -29,15 +28,14 @@ PRE_NOTE = "pre-two-sided ideals are taken to be two-sided ideals"
 
 
 class ElementSet:
-    """A set of module elements, explicit when enumeration fits the cap and
-    a membership predicate otherwise."""
+    """A set of module elements: `u in s` asks `predicate`, and the sorted
+    members are listed too when enumeration fits the cap."""
 
-    def __init__(self, field, ambient_dim, members=None, predicate=None, note=None):
+    def __init__(self, field, ambient_dim, predicate, members=None, note=None):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.members = None if members is None else tuple(members)
-        self._member_set = None if members is None else frozenset(self.members)
         self.predicate = predicate
+        self.members = None if members is None else tuple(members)
         self.note = note
 
     @property
@@ -45,11 +43,12 @@ class ElementSet:
         return self.members is not None
 
     def __contains__(self, u) -> bool:
-        u = tuple(self.field.check_scalar(x) for x in u)
+        try:
+            u = tuple(map(self.field.check_scalar, u))
+        except TypeError:
+            raise ValueError(f"not a vector: {u!r}") from None
         if len(u) != self.ambient_dim:
             raise ValueError(f"vector of length {len(u)} in ambient dimension {self.ambient_dim}")
-        if self._member_set is not None:
-            return u in self._member_set
         return self.predicate(u)
 
     def __iter__(self):
@@ -167,22 +166,23 @@ def stable_sets(module: ModuleSpace, n_space: Subspace, cap: int, verdict,
                 note: str | None = None) -> ElementSet:
     """Elements u whose colon space (N:u) passes `verdict`.
 
-    The verdict runs once per distinct colon space of N (`ColonClasses`), not
-    once per element, and the members are the classes that pass, expanded
-    and sorted into `enumerate_vectors` order.  Over Q or beyond the cap the
-    set is a membership predicate through the same class map.
+    Membership asks the verdict of u's class in the colon-space map of N
+    (`ColonClasses`).  When the map lists its classes within the cap, the
+    verdict runs once per distinct colon space, not once per element, and
+    the members are the classes that pass, expanded and sorted into
+    `enumerate_vectors` order; over Q or beyond the cap none are listed.
     """
     classes = module.colon_classes(n_space)
     groups = classes.classes(cap)
-    if groups is None:
-        return ElementSet(module.field, module.dim, note=note,
-                          predicate=lambda u: verdict(classes.colon(u)))
-    passed = [reps for colon, reps in groups if verdict(colon)]
-    if len(passed) == len(groups):
-        members = enumerate_vectors(module.field, module.dim, cap)
-    else:
-        members = sorted(classes.members([r for reps in passed for r in reps]))
-    return ElementSet(module.field, module.dim, members=members, note=note)
+    members = None
+    if groups is not None:
+        passed = [reps for colon, reps in groups if verdict(colon)]
+        if len(passed) == len(groups):
+            members = enumerate_vectors(module.field, module.dim, cap)
+        else:
+            members = sorted(classes.members([r for reps in passed for r in reps]))
+    return ElementSet(module.field, module.dim, lambda u: verdict(classes.colon(u)),
+                      members=members, note=note)
 
 
 def sigma(module: ModuleSpace, n_space: Subspace, theta: str,
@@ -197,12 +197,10 @@ def sigma(module: ModuleSpace, n_space: Subspace, theta: str,
 def tau(module: ModuleSpace, n_space: Subspace, theta: str,
         cap: int = DEFAULT_ELEMENT_CAP, method: str = "idem") -> ElementSet:
     """Elements u with (N:u) a theta-Mathieu subspace (finite fields only).
-    Every decision enumerates the algebra, so an algebra over the cap is
-    refused here, even when the set would be a predicate."""
+    Every decision enumerates the algebra, so an algebra over Q or over the
+    cap is refused here, even when the set would list no members."""
     theta = normalize_theta(theta)
     _decider(method)  # refuse an unknown method before any scan
-    if module.field.is_rational:
-        raise ValueError("tau needs a finite field: the Mathieu deciders enumerate the algebra")
     module.algebra.element_count(cap)
     return stable_sets(module, n_space, cap,
                        lambda j: _witness(module.algebra, j, theta, method, cap) is None)
@@ -268,21 +266,19 @@ def find_algebra_stable_violation(algebra: Algebra, theta: str,
                             _unit_avoiding_candidates(algebra, cap))
 
 
-@dataclass(frozen=True)
-class StableClassification:
-    exhaustive: bool
-    classified: bool
+def is_stable_algebra_classified(algebra: Algebra, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+    """The closed-form stability verdict: stable iff the algebra is the base
+    field itself, or it is the two-dimensional split pair over GF(2)."""
+    return algebra.dim == 1 or (algebra.field.p == 2 and algebra.dim == 2
+                                and not has_only_trivial_idempotents(algebra, cap))
 
 
-def is_stable_algebra_classified(algebra: Algebra, theta: str = "two",
-                                 cap: int = DEFAULT_ELEMENT_CAP) -> StableClassification:
-    """Exhaustive stability versus the closed-form classification:
-    stable iff the algebra is the base field itself, or it is the
-    two-dimensional split pair over GF(2)."""
-    exhaustive = find_algebra_stable_violation(algebra, theta, cap) is None
-    classified = algebra.dim == 1 or (algebra.field.p == 2 and algebra.dim == 2
-                                      and not has_only_trivial_idempotents(algebra, cap))
-    return StableClassification(exhaustive, classified)
+def is_quasi_stable_algebra_classified(algebra: Algebra,
+                                       cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+    """The closed-form quasi-stability verdict: quasi-stable iff the algebra is
+    local (only trivial idempotents) or two-dimensional, where an extra
+    idempotent makes it the split pair."""
+    return has_only_trivial_idempotents(algebra, cap) or algebra.dim == 2
 
 
 def has_only_trivial_idempotents(algebra: Algebra, cap: int = DEFAULT_ELEMENT_CAP) -> bool:

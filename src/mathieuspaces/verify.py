@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebras import (
-    Algebra,
     THETAS,
     builder_spec_to_algebra,
     field_algebra,
@@ -48,7 +47,7 @@ from .linalg import (
 from .mathieu import (
     find_algebra_quasi_stable_violation,
     find_algebra_stable_violation,
-    has_only_trivial_idempotents,
+    is_quasi_stable_algebra_classified,
     is_stable_algebra_classified,
     is_theta_mathieu_idempotent,
     sigma,
@@ -419,7 +418,7 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
     """One entry per (builder, expected) case.  It passes when
     `find_violation` finds a violation on no side exactly when `expected`
     holds, the first violation's witness re-validates, and the closed-form
-    verdict `classify(algebra)` equals `expected`."""
+    verdict `classify(algebra, cap)` equals `expected`."""
     entries = []
     for builder, expected in cases:
         algebra = builder_spec_to_algebra(builder)
@@ -438,7 +437,8 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
                     witness_ok, _why = verify_mathieu_witness(algebra, j, theta, witness)
                     payload.update(algebra_builder=builder, theta=theta, subspace=j.to_json(),
                                    witness=witness_to_json(algebra.field, witness))
-            computed = {"verdicts": verdicts, "classified": classify(algebra),
+            computed = {"verdicts": verdicts,
+                        "classified": classify(algebra, cap=profile.element_cap),
                         "witness_validated": witness_ok}
             if computed != ok:
                 return computed
@@ -447,12 +447,6 @@ def _classification_entries(profile: Profile, check: str, claim: str, cases,
         entry.witness = payload or None
         entries.append(entry)
     return entries
-
-
-def _classified_quasi_stable(algebra: Algebra) -> bool:
-    if has_only_trivial_idempotents(algebra):
-        return True
-    return algebra.dim == 2  # a 2-dim algebra with an extra idempotent splits
 
 
 def check_quasi_stable_classification(profile: Profile) -> list:
@@ -471,7 +465,7 @@ def check_quasi_stable_classification(profile: Profile) -> list:
     ]
     return _classification_entries(
         profile, "quasi-stable-classification", claim, cases,
-        find_algebra_quasi_stable_violation, _classified_quasi_stable)
+        find_algebra_quasi_stable_violation, is_quasi_stable_algebra_classified)
 
 
 def check_stable_classification(profile: Profile) -> list:
@@ -487,8 +481,7 @@ def check_stable_classification(profile: Profile) -> list:
     ]
     return _classification_entries(
         profile, "stable-classification", claim, cases, find_algebra_stable_violation,
-        lambda algebra: is_stable_algebra_classified(
-            algebra, cap=profile.element_cap).classified)
+        is_stable_algebra_classified)
 
 
 # -- check 7: weight hyperplanes in the componentwise product algebra -----------------

@@ -232,17 +232,20 @@ def test_class_built_sets_against_the_per_element_oracle():
     rng = random.Random(419)
     for module in _module_zoo(Profile(primes=(2, 3))):
         field, dim = module.field, module.dim
+        elements = list(enumerate_vectors(field, dim))
         spaces = [_random_subspace(rng, field, dim) for _ in range(4)]
         for n_space in spaces + [Subspace.zero(field, dim), Subspace.full(field, dim)]:
             for theta in THETAS:
                 want_sigma, want_tau = per_element_oracle(module, n_space, theta)
-                assert list(sigma(module, n_space, theta)) == want_sigma
-                assert list(tau(module, n_space, theta)) == want_tau
-                # the capped predicate goes through the same class map
+                got_sigma, got_tau = sigma(module, n_space, theta), tau(module, n_space, theta)
+                assert list(got_sigma) == want_sigma
+                assert list(got_tau) == want_tau
+                # membership asks the class map, explicit set or capped
                 lazy = sigma(module, n_space, theta, cap=1)
                 assert not lazy.is_explicit
-                assert [u for u in enumerate_vectors(module.field, module.dim)
-                        if u in lazy] == want_sigma
+                assert [u for u in elements if u in got_sigma] == want_sigma
+                assert [u for u in elements if u in got_tau] == want_tau
+                assert [u for u in elements if u in lazy] == want_sigma
 
 
 def test_class_built_sigma_over_q_against_the_per_element_oracle():

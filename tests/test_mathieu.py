@@ -8,6 +8,7 @@ from mathieuspaces import oracles
 from mathieuspaces.algebras import (
     THETAS,
     Algebra,
+    builder_spec_to_algebra,
     field_algebra,
     ideal_violation_witness,
     matrix_algebra,
@@ -33,6 +34,7 @@ from mathieuspaces.mathieu import (
     find_quasi_stable_violation,
     find_stable_violation,
     is_module_mathieu,
+    is_quasi_stable_algebra_classified,
     is_stable_algebra_classified,
     is_theta_ideal,
     is_theta_mathieu_bruteforce,
@@ -346,13 +348,22 @@ def test_quasi_stability_transfers_to_other_modules():
         assert find_quasi_stable_violation(col, theta) is not None
 
 
-def test_stable_classification_results():
-    base = is_stable_algebra_classified(field_algebra(2))
-    assert base.exhaustive and base.classified
-    split2 = is_stable_algebra_classified(product_algebra(2, 2))
-    assert split2.exhaustive and split2.classified
-    split3 = is_stable_algebra_classified(product_algebra(2, 3))
-    assert not split3.exhaustive and not split3.classified
+@pytest.mark.parametrize("spec", [
+    ["field", 2], ["field", 3], ["field", 5],
+    ["product", 2, 2], ["product", 2, 3], ["product", 2, 5], ["product", 3, 2],
+    ["truncated", 2, 2], ["truncated", 3, 2], ["truncated", 2, 3], ["truncated", 2, 5],
+    ["truncated", 3, 3],
+    ["upper", 2, 2], ["upper", 2, 3],
+    ["matrix", 2, 2], ["matrix", 2, 3],
+], ids=lambda spec: "-".join(map(str, spec)))
+def test_stable_classification_results(spec):
+    # each closed form agrees with its exhaustive scan on every side
+    algebra = builder_spec_to_algebra(spec)
+    for theta in THETAS:
+        assert is_stable_algebra_classified(algebra) == \
+            (find_algebra_stable_violation(algebra, theta) is None)
+        assert is_quasi_stable_algebra_classified(algebra) == \
+            (find_algebra_quasi_stable_violation(algebra, theta) is None)
 
 
 def test_unstable_split_pair_has_concrete_witness():
@@ -954,6 +965,6 @@ def test_element_set_membership_is_the_same_explicit_or_not():
         for s in (explicit, lazy):
             assert (0, 5) in s and (0, 0) in s and (5, -10) in s
             assert ((1, 2) in s) == ((6, -3) in s) == inside
-            for bad in ((1, 2, 3), (1,), (0, 0.5)):
+            for bad in ((1, 2, 3), (1,), (0, 0.5), 5, None):
                 with pytest.raises(ValueError):
                     bad in s
