@@ -2,7 +2,8 @@
 
 A module is a list of action matrices, one per algebra basis element.  The
 colon space (N:u) = {a : a.u in N} is the bridge from module subspaces to
-algebra subspaces and is computed as a kernel.
+algebra subspaces and is computed as a kernel, through the class map of N
+(`ColonClasses`) alone.
 """
 
 from __future__ import annotations
@@ -89,19 +90,23 @@ class ModuleSpace:
     def act(self, a: Sequence, u: Sequence) -> tuple:
         if len(a) != self.algebra.dim or len(u) != self.dim:
             raise ValueError("dimension mismatch in module action")
-        return mat_vec(self.field, self._images(u), a)
-
-    def _images(self, u: Sequence) -> tuple:
-        """The dim x dim_A matrix whose column i is e_i.u."""
-        return tuple(zip(*(mat_vec(self.field, m, u) for m in self.actions)))
+        return mat_vec(self.field, self.action_matrix(a), u)
 
     # -- colon spaces and friends ---------------------------------------------------
 
     def colon(self, n_space: Subspace, u: Sequence) -> Subspace:
-        """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra."""
-        self._check_subspace(n_space)
+        """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra,
+        through the class map of N (see ColonClasses)."""
+        classes = self.colon_classes(n_space)
         _check_length(u, self.dim, "module element")
-        return preimage_subspace(self.field, self._images(u), n_space, self.algebra.dim)
+        return classes.colon(u)
+
+    # The same method under a second name: the benchmark's tracer counts the
+    # calls made under this name, one per candidate (N, u) of the finders,
+    # instead of recording a span per call; `tests/test_tracer_targets.py` pins
+    # the name, and `mathieu._colon_candidates` calls it.  The tracer patches
+    # each class attribute on its own, so each name keeps its own wrapper.
+    colon_cached = colon
 
     def colon_classes(self, n_space: Subspace) -> "ColonClasses":
         """The colon spaces of N, one per class of u; kept for the last
@@ -111,12 +116,6 @@ class ModuleSpace:
         if hit is None:
             hit = self._colon_classes.put(n_space.basis, ColonClasses(self, n_space))
         return hit
-
-    def colon_cached(self, n_space: Subspace, u: Sequence) -> Subspace:
-        """(N:u) through the class map of N, one kernel per class of u (see
-        ColonClasses)."""
-        _check_length(u, self.dim, "module element")
-        return self.colon_classes(n_space).colon(u)
 
     def inverse_image(self, a: Sequence, n_space: Subspace) -> Subspace:
         """{v in M : a.v in N}."""

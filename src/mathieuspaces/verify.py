@@ -330,10 +330,7 @@ def check_trace_hyperplane_sets(profile: Profile) -> list:
             for x in elements:
                 # Tr(YX) as a functional of Y: coefficient of Y[i][j] is X[j][i]
                 functional = tuple(x[j * n + i] for i in range(n) for j in range(n))
-                if any(functional):
-                    h_x = solve_right_kernel(fld, [functional], n * n)
-                else:
-                    h_x = Subspace.full(fld, n * n)
+                h_x = solve_right_kernel(fld, [functional], n * n)  # all of A for X = 0
                 products = {y: _flat_matmul(p, n, y, x) for y in elements}
                 annihilator = frozenset(y for y, yx in products.items() if yx == zero)
                 expected_tau = annihilator

@@ -1045,3 +1045,73 @@ def test_a_non_array_or_non_object_input_exits_two(tmp_path, capsys, verb, paylo
     assert code == 2 and out == ""
     assert named in err
     assert "Traceback" not in err
+
+
+_M2F2_JSON = algebra_to_json(matrix_algebra(2, 2))
+_COLUMNS_JSON = module_to_json(column_module(matrix_algebra(2, 2), 2))
+_CORNER = {"ambient": 4, "basis": [[1, 0, 0, 0]]}
+_WITNESS_FILE = {
+    "algebra_builder": ["matrix", 2, 2],
+    "theta": "left",
+    "subspace": _CORNER,
+    "witness": {"kind": "mathieu", "a": [1, 0, 0, 0], "b": [0, 0, 1, 0], "c": None,
+                "power": 1},
+}
+_NO_BUILDER = {k: v for k, v in _WITNESS_FILE.items() if k != "algebra_builder"}
+_IS_IDEAL = ["is-ideal", "--algebra", "{alg}", "--subspace", "{sub}"]
+_SIGMA = ["sigma", "--module", "{mod}", "--subspace", "{sub}"]
+_VERIFY_WITNESS = ["verify-witness", "--input", "{w}"]
+
+
+# (argv with {name} for the file name.json, the files to write as JSON or raw
+# text, exit code, a line of stderr); each exit 2 comes with no traceback
+@pytest.mark.parametrize("argv, files, code, named", [
+    (_IS_IDEAL, {"sub": _CORNER}, 2, "cannot read JSON from"),
+    (_IS_IDEAL, {"alg": "{not json", "sub": _CORNER}, 2, "cannot read JSON from"),
+    (_IS_IDEAL, {"alg": {**_M2F2_JSON, "unit": 1}, "sub": _CORNER}, 2,
+     "algebra.unit: expected a JSON array"),
+    (_IS_IDEAL, {"alg": {**_M2F2_JSON, "structure": _M2F2_JSON["structure"][:3]},
+                 "sub": _CORNER}, 2, "algebra.structure: expected 4 rows"),
+    (_IS_IDEAL, {"alg": {**_M2F2_JSON, "structure": [_M2F2_JSON["structure"][0][:3]]
+                         + _M2F2_JSON["structure"][1:]},
+                 "sub": _CORNER}, 2, "algebra.structure[0]: expected 4 cells"),
+    (_SIGMA, {"mod": {**_COLUMNS_JSON, "actions": 5}, "sub": {"ambient": 2, "basis": []}},
+     2, "module.actions: expected an array of matrices"),
+    (_SIGMA, {"mod": {**_COLUMNS_JSON, "actions": [[[0, 0], [0, 0]]] * 4},
+              "sub": {"ambient": 2, "basis": []}}, 2, "unit does not act as the identity"),
+    (_SIGMA, {"mod": {**_COLUMNS_JSON, "dim": 3}, "sub": {"ambient": 2, "basis": []}},
+     2, "module.dim says 3 but actions are 2-dimensional"),
+    (_VERIFY_WITNESS, {"w": {**_WITNESS_FILE, "witness": [1, 0, 0, 0]}}, 2,
+     "witness file: 'witness' must be an object"),
+    (_VERIFY_WITNESS, {"w": {**_WITNESS_FILE, "witness": {**_WITNESS_FILE["witness"],
+                                                          "kind": 1}}},
+     2, "witness.kind: expected a string"),
+    (["nba", "member", "--config", "{cfg}", "--poly", "{poly}"],
+     {"cfg": {**_NBA_CONFIG, "points": [[0], [0]]}, "poly": _ONE}, 2,
+     "eval config: evaluation points must be distinct"),
+    (["integral", "--config", "{cfg}", "--poly", "{poly}"],
+     {"cfg": {"a": "1", "b": "1", "q": _ONE}, "poly": _ONE}, 2,
+     "integral config: endpoints must differ"),
+    (["is-mathieu", "--module", "{mod}", "--subspace", "{sub}"],
+     {"mod": _COLUMNS_JSON, "sub": {"ambient": 2, "basis": [[1, 0]]}}, 2,
+     "--module needs --wrt with the reference element"),
+    (_VERIFY_WITNESS, {"w": _NO_BUILDER}, 2, "witness file needs 'algebra' or 'algebra_builder'"),
+    (_VERIFY_WITNESS, {"w": {**_NO_BUILDER, "algebra": _M2F2_JSON}}, 0, None),
+], ids=["missing-file", "invalid-json", "unit-not-array", "structure-rows", "structure-cells",
+        "actions-not-array", "module-axiom", "module-dim", "witness-not-object",
+        "witness-kind-not-string", "duplicate-eval-points", "equal-endpoints",
+        "module-without-wrt", "witness-file-without-algebra", "witness-file-inline-algebra"])
+def test_each_schema_branch_exits_two_and_an_inline_algebra_is_read(
+        tmp_path, capsys, argv, files, code, named):
+    for name, payload in files.items():
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if named is None:  # the inline algebra reaches the re-validator
+        assert json.loads(out) == {"result": True,
+                                   "reason": "recurring product escapes the subspace"}
+    else:
+        assert out == "" and named in err

@@ -4,9 +4,13 @@ library's linear-algebra implementations on small instances.
 
 Nothing in the raw reimplementation touches Subspace, kernels or echelon
 forms: subspaces are plain Python sets built by additive closure and every
-quantifier is a raw scan.  The per-element oracle for sigma/tau further down
-does use the library's colon spaces and deciders, but computes one colon
-space and one decision per element, with no caches and no class reduction.
+quantifier is a raw scan.  The colon spaces of the class map are diffed
+against {a : a.u in N} by enumeration, which reads N through its elements and
+never through its residual map; over Q, where nothing can be enumerated, each
+queried colon space is checked by containment and by its dimension.  The
+per-element oracle for sigma/tau further down does use the library's colon
+spaces and deciders, but makes one colon query and one decision per element,
+with no verdict memo and no class grouping.
 The brute-force Mathieu scan is also diffed against its own loop without the
 work it skips (`unpruned_bruteforce`), also with its product masks and J's
 views warm from earlier decisions on the same algebra; the re-validator's
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from mathieuspaces import linalg
 from mathieuspaces.algebras import (
     builder_spec_to_algebra,
     matrix_algebra,
@@ -216,7 +221,10 @@ def test_stable_sets_against_raw_scans():
 
 
 def per_element_oracle(module, n_space, theta):
-    """sigma and tau of N, one colon space and one decision per element."""
+    """sigma and tau of N, one colon query and one decision per element.  It
+    referees the class grouping, the expansion to members and their order;
+    the colon spaces themselves are refereed by enumeration
+    (`_colon_mismatches`)."""
     algebra = module.algebra
     raw_sigma, raw_tau = [], []
     for u in enumerate_vectors(module.field, module.dim):
@@ -272,7 +280,15 @@ def test_class_built_sigma_over_q_against_the_per_element_oracle():
                 shifted = tuple(x + y for x, y in zip(u, inside.basis[0])) \
                     if inside.basis else u
                 for v in (u, tuple(c * x for x in u), shifted):
-                    want = is_theta_ideal(algebra, module.colon(n_space, v), theta)
+                    colon = module.colon(n_space, v)
+                    # no residual map: a.v lies in N for every basis row a, and
+                    # dim (N:v) = dim A - dim (N + A.v)/N
+                    assert all(_in_span(QQ, n_space.basis, module.act(a, v))
+                               for a in colon.basis)
+                    orbit = Subspace(QQ, module.dim, list(n_space.basis)
+                                     + [mat_vec(QQ, m, v) for m in module.actions])
+                    assert colon.dim == algebra.dim - (orbit.dim - n_space.dim)
+                    want = is_theta_ideal(algebra, colon, theta)
                     assert (v in lazy) == want
 
 
@@ -297,10 +313,29 @@ def _class_representative(classes, u):
     return v
 
 
-def test_class_map_colon_spaces_against_the_per_query_colon():
-    rng = random.Random(433)
-    modules = _module_zoo(Profile(primes=(2, 3))) + [natural_module(matrix_algebra(2, 5))]
-    for module in modules:
+def _colon_mismatches(classes, us):
+    """The u among `us` whose colon space, from the class map `classes` or
+    from `ModuleSpace.colon`, is not {a : a.u in N}, found by enumerating the
+    algebra; N is read through its elements alone, never its residual map."""
+    module, n_space = classes.module, classes.n_space
+    p = module.field.p
+    n_set = frozenset(n_space.elements())
+    alg_elements = list(itertools.product(range(p), repeat=module.algebra.dim))
+    bad = []
+    for u in us:
+        want = frozenset(a for a in alg_elements if raw_act(p, module.actions, a, u) in n_set)
+        if frozenset(classes.colon(u).elements()) != want \
+                or frozenset(module.colon(n_space, u).elements()) != want:
+            bad.append(u)
+    return bad
+
+
+def test_class_map_colon_spaces_against_enumeration():
+    rng, picks = random.Random(433), random.Random(435)
+    # every u on the zoo modules, 40 seeded u per N on M_2(GF(5)) (625 elements)
+    modules = [(module, None) for module in _module_zoo(Profile(primes=(2, 3)))]
+    modules.append((natural_module(matrix_algebra(2, 5)), 40))
+    for module, queries in modules:
         field, dim = module.field, module.dim
         elements = list(enumerate_vectors(field, dim))
         for k in range(dim + 1):  # every codimension of N, N = 0 and N = M included
@@ -323,12 +358,36 @@ def test_class_map_colon_spaces_against_the_per_query_colon():
             for rows, colon in module._colons.items():
                 assert colon == solve_right_kernel(field, rows, module.algebra.dim)
             for u in elements:
-                want = module.colon(n_space, u)
                 # from the composed forms for any u, not only class representatives
-                assert classes.colon(u) == want
-                assert classes.colon(_class_representative(classes, u)) == want
+                assert classes.colon(_class_representative(classes, u)) == classes.colon(u)
+            us = elements if queries is None else picks.sample(elements, queries)
+            assert _colon_mismatches(classes, us) == []
             # every u of a class found its class's kernel: no new memo entry
             assert len(module._colons) == len(groups)
+
+
+def test_enumeration_sees_a_corrupted_residual_map(monkeypatch):
+    """One wrong entry in every residual map reaches the class map, which
+    reads N through its residual map, and the enumeration sees it."""
+    original = linalg._residual_map
+
+    def corrupted(field, n, basis, pivots):
+        free, rows = original(field, n, basis, pivots)
+        if not rows:
+            return free, rows
+        first = rows[0][:-1] + ((rows[0][-1] + 1) % field.p,)
+        return free, (first,) + rows[1:]
+
+    monkeypatch.setattr(linalg, "_residual_map", corrupted)
+    rng = random.Random(443)
+    # fresh: no colon memo, no class map and no residual map built before the fault
+    module = natural_module(upper_triangular(2, 3))
+    elements = list(enumerate_vectors(module.field, module.dim))
+    bad = []
+    for k in range(module.dim):
+        n_space = _subspace_of_dim(rng, module.field, module.dim, k)
+        bad += _colon_mismatches(ColonClasses(module, n_space), elements)
+    assert bad
 
 
 @pytest.mark.parametrize("build", [

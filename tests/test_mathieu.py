@@ -410,6 +410,82 @@ def test_malformed_witness_dicts_are_rejected_without_raising():
         assert not ok and reason
 
 
+
+E12, E21 = (0, 1, 0, 0), (0, 0, 1, 0)
+
+# (side, kind of the valid witness, keys it is reshaped with, refusal); the
+# valid witness is the decider's for the corner line E11 of M_2(GF(2))
+REFUSALS = [
+    ("left", "ideal", {"element": None}, "ideal violations need an element"),
+    ("left", "ideal", {"element": E12}, "claimed element is not in the subspace"),
+    ("left", "ideal", {"left": None}, "ideal violations need a multiplier"),
+    ("left", "ideal", {"right": E12}, "left-ideal violations admit only a left multiplier"),
+    ("right", "ideal", {"left": E21}, "right-ideal violations admit only a right multiplier"),
+    ("left", "mathieu", {"a": None}, "Mathieu violations need an element a"),
+    ("left", "mathieu", {"power": "1"}, "witness exponent must be an integer"),
+    ("left", "mathieu", {"a": E12},
+     "witness element does not have all powers in the subspace"),
+    ("left", "mathieu", {"power": 0}, "witness exponent does not reach the power cycle"),
+    ("left", "mathieu", {"b": None}, "left violations need exactly a left multiplier"),
+    ("left", "mathieu", {"c": E12}, "left violations need exactly a left multiplier"),
+    ("right", "mathieu", {"c": None}, "right violations need exactly a right multiplier"),
+    ("right", "mathieu", {"b": E21}, "right violations need exactly a right multiplier"),
+    ("pre", "mathieu", {"b": None}, "one-sided violation expected"),
+    ("pre", "mathieu", {"c": E12}, "one-sided violation expected"),
+    ("two", "mathieu", {"b": None}, "two-sided violations need both multipliers"),
+    ("two", "mathieu", {"c": None}, "two-sided violations need both multipliers"),
+    ("left", "mathieu", {"kind": "idem"}, "unknown witness kind 'idem'"),
+    ("left", "mathieu", {"b": E11}, "claimed product actually stays in the subspace"),
+    ("left", "ideal", {"left": E11}, "claimed product actually stays in the subspace"),
+]
+
+
+@pytest.mark.parametrize("theta, kind, changes, reason", REFUSALS, ids=[
+    f"{theta}-{kind}-" + ",".join(f"{k}={v}" for k, v in changes.items())
+    for theta, kind, changes, _reason in REFUSALS])
+def test_every_refusal_of_the_revalidator(theta, kind, changes, reason):
+    j = Subspace(F2, 4, [E11])
+    if kind == "ideal":
+        witness = ideal_violation_witness(M2F2, j, theta)
+    else:
+        witness = is_theta_mathieu_idempotent(M2F2, j, theta).witness
+    assert verify_mathieu_witness(M2F2, j, theta, witness)[0]
+    assert verify_mathieu_witness(M2F2, j, theta, dict(witness, **changes)) == (False, reason)
+
+
+def test_a_vector_the_cached_view_does_not_index_gets_its_canonical_answer(monkeypatch):
+    """After a brute-force scan caches J's view, a vector written with residues
+    >= p is not the element its index names; it is answered as its canonical
+    form is, through elimination."""
+    algebra = matrix_algebra(2, 2)  # fresh: no view cached yet
+    j = Subspace(F2, 4, [E11])
+    assert not is_theta_mathieu_bruteforce(algebra, j, "left").is_mathieu
+    assert _J_VIEWS[algebra].get(j) is not None
+    eliminations = []
+    in_span = oracles._in_span
+
+    def counting(*args):
+        eliminations.append(args[2])
+        return in_span(*args)
+
+    monkeypatch.setattr(oracles, "_in_span", counting)
+    ideal = ideal_violation_witness(algebra, j, "left")
+    mathieu = is_theta_mathieu_idempotent(algebra, j, "left").witness
+    # an element is tested as written: index 24 lies past the 16 elements, and
+    # index 3 names (0, 0, 1, 1), not E22; a multiplier enters a reduced product
+    for witness, changes in ((ideal, {"element": (3, 0, 0, 0)}),
+                             (ideal, {"element": (2, 1, 0, 0)}),
+                             (ideal, {"element": (0, 0, 0, 3)}),
+                             (ideal, {"left": (2, 0, 3, 0)}),
+                             (mathieu, {"b": (0, 2, 3, 0)})):
+        canonical = {k: tuple(x % 2 for x in v) for k, v in changes.items()}
+        want = verify_mathieu_witness(algebra, j, "left", dict(witness, **canonical))
+        assert eliminations == []  # the view answers every canonical vector
+        assert verify_mathieu_witness(algebra, j, "left", dict(witness, **changes)) == want
+        assert eliminations == list(changes.values()) * ("element" in changes)
+        eliminations.clear()
+
+
 def _naive_first_violation(algebra, theta, method, candidates):
     """The first candidate failing `method`, by the public deciders with no memo."""
     for found, j in candidates:

@@ -63,11 +63,14 @@ SCENARIOS = {
     },
 }
 
-# md5 of the `--no-timing` JSON of each failing report: which sample fails
-# first, its payload and the RNG draws after it are part of the report
+# md5 of the `--no-timing` JSON and text of each failing report: which sample
+# fails first, its payload and the RNG draws after it are part of the report,
+# and the text prints the claim, expected and computed lines of each failure
 PINNED = {
-    "brute-tau-witness": "0403f63b97427ab3ecae481655eb7eef",
-    "idem-sigma-violation": "8a5f2608446eddac138aaa6f0e8851dc",
+    "brute-tau-witness": ("0403f63b97427ab3ecae481655eb7eef",
+                          "66f49341ce403b5f89005a8ba905d037"),
+    "idem-sigma-violation": ("8a5f2608446eddac138aaa6f0e8851dc",
+                             "939b260b1a8a6c52087e154596af7bb9"),
 }
 
 
@@ -79,7 +82,9 @@ def test_failure_paths_report_is_pinned(monkeypatch, scenario):
     failing = {e.check for e in report.entries if not e.passed}
     assert failing == {name for name, _fn in SUITE}
     text = json.dumps(report.to_json(with_timing=False), indent=2, sort_keys=True) + "\n"
-    assert hashlib.md5(text.encode()).hexdigest() == PINNED[scenario]
+    pinned_json, pinned_text = PINNED[scenario]
+    assert hashlib.md5(text.encode()).hexdigest() == pinned_json
+    assert hashlib.md5(report.to_text(with_timing=False).encode()).hexdigest() == pinned_text
 
 
 @pytest.mark.parametrize("name, fn", SUITE, ids=[name for name, _fn in SUITE])
