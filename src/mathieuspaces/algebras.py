@@ -83,20 +83,14 @@ class Algebra:
         dim = len(structure)
         self.field = field
         self.dim = dim
-        self.structure = tuple(
-            tuple(tuple(field.check_scalar(x) for x in cell) for cell in row)
-            for row in structure
-        )
-        for i, row in enumerate(self.structure):
+        for i, row in enumerate(structure):
             if len(row) != dim:
                 raise AlgebraAxiomError(f"structure row {i} has {len(row)} cells, expected {dim}")
-            for j, cell in enumerate(row):
-                if len(cell) != dim:
-                    raise AlgebraAxiomError(
-                        f"product e_{i}*e_{j} has {len(cell)} coordinates, expected {dim}")
-        self.unit = tuple(field.check_scalar(x) for x in unit)
-        if len(self.unit) != dim:
-            raise AlgebraAxiomError(f"unit has {len(self.unit)} coordinates, expected {dim}")
+        self.structure = tuple(
+            tuple(field.vector(cell, dim, f"product e_{i}*e_{j}") for j, cell in enumerate(row))
+            for i, row in enumerate(structure)
+        )
+        self.unit = field.vector(unit, dim, "unit")
         self.name = name or f"algebra(dim {dim} over {field!r})"
         one, zero = field.one, field.zero
         # the standard basis e_0, ..., e_(dim-1), and p^dim (None over Q)
@@ -146,6 +140,7 @@ class Algebra:
         return self._basis[i]
 
     def multiply(self, a: Sequence, b: Sequence) -> tuple:
+        """a*b for canonical a and b (see `Field.vector`): scans call it per product."""
         dim = self.dim
         if len(a) != dim or len(b) != dim:
             raise ValueError("dimension mismatch in algebra product")
@@ -169,7 +164,7 @@ class Algebra:
     def power(self, a: Sequence, m: int) -> tuple:
         if m < 1:
             raise ValueError("powers start at exponent 1")
-        out = tuple(a)
+        out = a = self.field.vector(a, self.dim, "algebra element")
         for _ in range(m - 1):
             out = self.multiply(out, a)
         return out
@@ -196,9 +191,11 @@ class Algebra:
         return self._elements
 
     def index_of(self, v: Sequence) -> int:
+        """The index of a canonical v in `elements` order: scans call it per product."""
         return vector_to_index(self.field, v)
 
     def vector_at(self, idx: int) -> tuple:
+        """The element of index idx, for 0 <= idx < p^dim, unchecked."""
         return index_to_vector(self.field, self.dim, idx)
 
     def mult_table(self) -> list | None:
@@ -226,7 +223,7 @@ class Algebra:
         if self.field.is_rational:
             raise ValueError("power trajectories need a finite field; "
                              "the sequence may be infinite over the rationals")
-        a = tuple(a)
+        a = self.field.vector(a, self.dim, "algebra element")
         seen: dict = {}
         seq: list = []
         x = a
@@ -274,7 +271,7 @@ class Algebra:
     def is_nilpotent(self, a: Sequence) -> bool:
         # a nilpotent iff a^(dim+1) = 0: powers up to the first dependence
         # already witness nilpotency in a finite-dimensional algebra.
-        x = tuple(a)
+        x = a = self.field.vector(a, self.dim, "algebra element")
         zero = self.zero()
         for _ in range(self.dim + 1):
             if x == zero:
@@ -308,7 +305,8 @@ class Algebra:
                         yield a, b, c, multiply(ba, c)
 
     def theta_ideal_generated(self, a: Sequence, theta: str) -> Subspace:
-        multiples = self.theta_multiples([tuple(a)], normalize_theta(theta))
+        a = self.field.vector(a, self.dim, "algebra element")
+        multiples = self.theta_multiples([a], normalize_theta(theta))
         return Subspace(self.field, self.dim, [m for *_, m in multiples])
 
     def radical_of_subspace(self, j: Subspace, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:

@@ -89,15 +89,28 @@ class Field:
 
     def check_scalar(self, a):
         """Return ``a`` normalized, rejecting values foreign to this field."""
-        if self.p is None:
+        p = self.p
+        if p is None:
             if type(a) is Fraction:  # immutable and in lowest terms
                 return a
             if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
                 raise ValueError(f"not a rational scalar: {a!r}")
             return Fraction(a)
-        if isinstance(a, bool) or not isinstance(a, int):
-            raise ValueError(f"not a residue mod {self.p}: {a!r}")
-        return a % self.p
+        # an exact int, the common entry, is never a bool: one test admits it
+        if type(a) is not int and (isinstance(a, bool) or not isinstance(a, int)):
+            raise ValueError(f"not a residue mod {p}: {a!r}")
+        return a % p
+
+    def vector(self, v, n: int, what: str = "vector") -> tuple:
+        """`v` as a canonical vector of F^n, every entry through `check_scalar`;
+        the one place that decides what a vector of this field is."""
+        try:
+            out = tuple(map(self.check_scalar, v))
+        except TypeError:
+            raise ValueError(f"not a vector: {v!r}") from None
+        if len(out) != n:
+            raise ValueError(f"{what} has {len(out)} coordinates, expected {n}")
+        return out
 
     def parse_scalar(self, obj):
         """Read a scalar from its JSON form (int, or "num/den" for Q)."""

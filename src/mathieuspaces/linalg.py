@@ -131,12 +131,8 @@ class Subspace:
         if type(ambient_dim) is not int or ambient_dim < 0:
             raise ValueError(
                 f"ambient dimension must be a nonnegative integer, got {ambient_dim!r}")
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError(
-                    f"row of length {len(row)} in ambient dimension {ambient_dim}")
-        norm = [tuple(field.check_scalar(x) for x in row) for row in rows]
-        basis, pivots = rref_rows(field, norm)
+        basis, pivots = rref_rows(field, [field.vector(row, ambient_dim, "subspace row")
+                                          for row in rows])
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)
@@ -198,8 +194,8 @@ class Subspace:
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
-        """v lies in N iff every residual coordinate of v vanishes; the test
-        stops at the first one that does not."""
+        """A canonical v (see `Field.vector`) lies in N iff every residual
+        coordinate of v vanishes; the test stops at the first one that does not."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         p = self.field.p

@@ -43,13 +43,7 @@ class ElementSet:
         return self.members is not None
 
     def __contains__(self, u) -> bool:
-        try:
-            u = tuple(map(self.field.check_scalar, u))
-        except TypeError:
-            raise ValueError(f"not a vector: {u!r}") from None
-        if len(u) != self.ambient_dim:
-            raise ValueError(f"vector of length {len(u)} in ambient dimension {self.ambient_dim}")
-        return self.predicate(u)
+        return self.predicate(self.field.vector(u, self.ambient_dim, "module element"))
 
     def __iter__(self):
         if self.members is None:

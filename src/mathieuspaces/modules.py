@@ -34,28 +34,22 @@ class ModuleAxiomError(ValueError):
     """Action matrices violate a module axiom; the message names it."""
 
 
-def _check_length(v: Sequence, dim: int, what: str) -> None:
-    if len(v) != dim:
-        raise ValueError(f"{what} has {len(v)} coordinates, expected {dim}")
-
-
 class ModuleSpace:
     def __init__(self, algebra: Algebra, actions: Sequence, name: str | None = None,
                  check: bool = True):
         field = algebra.field
         self.algebra = algebra
         self.field = field
-        self.actions = tuple(
-            tuple(tuple(field.check_scalar(x) for x in row) for row in m)
-            for m in actions
-        )
-        if len(self.actions) != algebra.dim:
+        actions = tuple(actions)
+        if len(actions) != algebra.dim:
             raise ModuleAxiomError(
-                f"{len(self.actions)} action matrices for an algebra of dimension {algebra.dim}")
-        self.dim = len(self.actions[0]) if self.actions else 0
-        for i, m in enumerate(self.actions):
-            if len(m) != self.dim or any(len(row) != self.dim for row in m):
-                raise ModuleAxiomError(f"action matrix {i} is not {self.dim} x {self.dim}")
+                f"{len(actions)} action matrices for an algebra of dimension {algebra.dim}")
+        self.dim = dim = len(actions[0]) if actions else 0
+        for i, m in enumerate(actions):
+            if len(m) != dim:
+                raise ModuleAxiomError(f"action matrix {i} is not {dim} x {dim}")
+        self.actions = tuple(tuple(field.vector(row, dim, "action matrix row") for row in m)
+                             for m in actions)
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
         # row r*dim + s holds entry (r, s) of every action matrix
         self._action_entries = tuple(zip(*(sum(m, ()) for m in self.actions)))
@@ -82,14 +76,13 @@ class ModuleSpace:
 
     def action_matrix(self, a: Sequence) -> tuple:
         """Matrix of the action of an algebra element, sum_i a_i A_i."""
-        _check_length(a, self.algebra.dim, "algebra element")
         d = self.dim
+        a = self.field.vector(a, self.algebra.dim, "algebra element")
         flat = mat_vec(self.field, self._action_entries, a)
         return tuple(flat[r * d:(r + 1) * d] for r in range(d))
 
     def act(self, a: Sequence, u: Sequence) -> tuple:
-        if len(a) != self.algebra.dim or len(u) != self.dim:
-            raise ValueError("dimension mismatch in module action")
+        u = self.field.vector(u, self.dim, "module element")
         return mat_vec(self.field, self.action_matrix(a), u)
 
     # -- colon spaces and friends ---------------------------------------------------
@@ -98,8 +91,7 @@ class ModuleSpace:
         """(N:u) = {a in A : a.u in N}, canonical subspace of the algebra,
         through the class map of N (see ColonClasses)."""
         classes = self.colon_classes(n_space)
-        _check_length(u, self.dim, "module element")
-        return classes.colon(u)
+        return classes.colon(self.field.vector(u, self.dim, "module element"))
 
     # The same method under a second name: the benchmark's tracer counts the
     # calls made under this name, one per candidate (N, u) of the finders,
@@ -248,13 +240,15 @@ class ModuleHom:
     with every action matrix."""
 
     def __init__(self, source: ModuleSpace, target: ModuleSpace, matrix, check: bool = True):
-        if source.algebra is not target.algebra and source.algebra.structure != target.algebra.structure:
+        if source.algebra is not target.algebra and (
+                source.field != target.field
+                or source.algebra.structure != target.algebra.structure):
             raise ValueError("module homomorphisms need a common algebra")
         field = source.field
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(field.check_scalar(x) for x in row) for row in matrix)
-        if len(self.matrix) != target.dim or any(len(r) != source.dim for r in self.matrix):
+        self.matrix = tuple(field.vector(row, source.dim, "hom matrix row") for row in matrix)
+        if len(self.matrix) != target.dim:
             raise ValueError(f"hom matrix must be {target.dim} x {source.dim}")
         if check:
             for i in range(source.algebra.dim):
@@ -269,11 +263,11 @@ class ModuleHom:
 
     def pullback_subspace(self, h_space: Subspace) -> Subspace:
         """Preimage of a target subspace."""
-        if h_space.ambient_dim != self.target.dim:
-            raise ValueError("subspace does not live in the target module")
+        self.target._check_subspace(h_space)
         return preimage_subspace(self.source.field, self.matrix, h_space, self.source.dim)
 
     def image_of_subspace(self, s: Subspace) -> Subspace:
+        self.source._check_subspace(s)
         return image_subspace(self.source.field, self.matrix, s)
 
     @classmethod

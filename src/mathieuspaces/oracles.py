@@ -203,11 +203,11 @@ def _indexed_witness(algebra, a_idx, power, b=None, c=None):
 def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
     """Re-validate a negative verdict from scratch; returns (valid, reason).
 
-    Membership in J has a test of its own: J's view when the brute-force
-    scan has already cached one for this algebra and J (it is looked up,
-    never built), else elimination against J's basis (`_in_span`).  A vector
-    the view does not index (one that is no element of the algebra as
-    `vector_at` writes it) goes to elimination too.
+    Every vector of the witness is normalized as it is read (`Field.vector`;
+    `power_trajectory` normalizes a), so every vector tested is canonical.
+    Membership in J has a test of its own: J's view when the brute-force scan
+    has already cached one for this algebra and J (it is looked up, never
+    built), else elimination against J's basis (`_in_span`).
     """
     theta = normalize_theta(theta)
     algebra._check_subspace(j)
@@ -218,23 +218,24 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         def contains(v):
             return _in_span(field, basis, v)
     else:
-        mem, index_of, vector_at = view[0], algebra.index_of, algebra.vector_at
+        mem, index_of = view[0], algebra.index_of
 
         def contains(v):
-            idx = index_of(v)
-            if 0 <= idx < len(mem) and vector_at(idx) == v:
-                return mem[idx]
-            return _in_span(field, basis, v)
+            return mem[index_of(v)]
+
+    def vector(key):
+        v = witness.get(key)
+        return None if v is None else field.vector(v, algebra.dim, f"witness {key}")
 
     kind = witness.get("kind")
     if kind == "ideal":
         if witness.get("element") is None:
             return False, "ideal violations need an element"
-        x = tuple(witness["element"])
+        x = vector("element")
         if not contains(x):
             return False, "claimed element is not in the subspace"
-        left = witness.get("left")
-        right = witness.get("right")
+        left = vector("left")
+        right = vector("right")
         if left is None and right is None:
             return False, "ideal violations need a multiplier"
         if theta == "left" and right is not None:
@@ -248,14 +249,14 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         m = witness.get("power")
         if type(m) is not int:
             return False, "witness exponent must be an integer"
-        traj = algebra.power_trajectory(tuple(witness["a"]))
+        traj = algebra.power_trajectory(witness["a"])  # normalizes a
         if not all(map(contains, traj.tail)) or not all(map(contains, traj.cycle)):
             return False, "witness element does not have all powers in the subspace"
         if m <= len(traj.tail):
             return False, "witness exponent does not reach the power cycle"
         x = traj.power(m)
-        left = witness.get("b")
-        right = witness.get("c")
+        left = vector("b")
+        right = vector("c")
         if theta == "left" and (left is None or right is not None):
             return False, "left violations need exactly a left multiplier"
         if theta == "right" and (right is None or left is not None):
@@ -268,9 +269,9 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
     else:
         return False, f"unknown witness kind {kind!r}"
     if left is not None:
-        x = algebra.multiply(tuple(left), x)
+        x = algebra.multiply(left, x)
     if right is not None:
-        x = algebra.multiply(x, tuple(right))
+        x = algebra.multiply(x, right)
     if contains(x):
         return False, "claimed product actually stays in the subspace"
     return True, confirmed

@@ -154,10 +154,8 @@ class Poly:
                           self._denominator * c.denominator)
 
     def evaluate(self, point: Sequence):
-        if len(point) != self.nvars:
-            raise ValueError("evaluation point has the wrong arity")
         field = self.field
-        point = [field.check_scalar(x) for x in point]
+        point = field.vector(point, self.nvars, "evaluation point")
         if self.nvars != 1:
             return _term_loop(self.terms, point, field)
         (value,) = _univariate_values(self, point)
@@ -281,14 +279,11 @@ class EvalConfig:
     weights: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(self.field.check_scalar(x) for x in p) for p in self.points)
-        wts = tuple(self.field.check_scalar(w) for w in self.weights)
-        if len(pts) != len(wts):
-            raise ValueError("need one weight per point")
+        field, arity = self.field, self.nvars
+        pts = tuple(field.vector(p, arity, "evaluation point") for p in self.points)
+        wts = field.vector(self.weights, len(pts), "weight vector")
         if len(set(pts)) != len(pts):
             raise ValueError("evaluation points must be distinct")
-        if pts and len(set(len(p) for p in pts)) != 1:
-            raise ValueError("points must share one arity")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 

@@ -231,6 +231,17 @@ def _pulled_back(field: Field, dim: int, apply, target, cap: int) -> frozenset:
     return frozenset(u for u in enumerate_vectors(field, dim, cap) if apply(u) in target)
 
 
+def _pullback_mismatch(source, target, apply, h_space, pulled, cap: int) -> str | None:
+    """The first side on which the preimages under `apply` of sigma and tau of
+    H in `target` differ from sigma and tau of `pulled` in `source`, or None."""
+    for theta in THETAS:
+        pulled_sets = tuple(_pulled_back(source.field, source.dim, apply, image_set, cap)
+                            for image_set in _sets(target, h_space, theta, cap))
+        if pulled_sets != _sets(source, pulled, theta, cap):
+            return theta
+    return None
+
+
 def _random_subspace(rng: random.Random, field: Field, dim: int) -> Subspace:
     k = rng.randrange(dim + 1)
     rows = [tuple(field.from_int(rng.randrange(field.p)) for _ in range(dim))
@@ -670,13 +681,10 @@ def check_functorial_identities(profile: Profile) -> list:
                      for s in range(source.dim)] for r in range(target.dim)]
             phi = ModuleHom(source, target, rows)
             h_space = _random_subspace(rng, target.field, target.dim)
-            pulled = phi.pullback_subspace(h_space)
-            for theta in THETAS:
-                pulled_sets = tuple(
-                    _pulled_back(source.field, source.dim, phi.apply, image_set, cap)
-                    for image_set in _sets(target, h_space, theta, cap))
-                if pulled_sets != _sets(source, pulled, theta, cap):
-                    return {"source": source.name, "target": target.name, "theta": theta}
+            theta = _pullback_mismatch(source, target, phi.apply, h_space,
+                                       phi.pullback_subspace(h_space), cap)
+            if theta is not None:
+                return {"source": source.name, "target": target.name, "theta": theta}
             done += 1
 
     # quotient maps of modules
@@ -725,12 +733,9 @@ def check_functorial_identities(profile: Profile) -> list:
                 for _ in range(3):
                     j_space = _random_subspace(rng, quot.field, quot.dim)
                     pulled = preimage_subspace(algebra.field, proj, j_space, algebra.dim)
-                    for theta in THETAS:
-                        pulled_sets = tuple(
-                            _pulled_back(algebra.field, algebra.dim, apply, image_set, cap)
-                            for image_set in _sets(nat_b, j_space, theta, cap))
-                        if pulled_sets != _sets(nat_a, pulled, theta, cap):
-                            return {"algebra": algebra.name, "theta": theta}
+                    theta = _pullback_mismatch(nat_a, nat_b, apply, j_space, pulled, cap)
+                    if theta is not None:
+                        return {"algebra": algebra.name, "theta": theta}
 
     return [
         _timed_entry("functorial-identities",

@@ -185,6 +185,18 @@ def test_hom_must_commute_with_actions():
         ModuleHom(COL, COL, ((1, 1), (0, 0)))
 
 
+def test_a_hom_refuses_a_module_or_subspace_over_another_field_or_dimension():
+    # the structure constants of M_2(GF(2)) and M_2(GF(3)) are equal tuples
+    col3 = column_module(matrix_algebra(2, 3), 2)
+    with pytest.raises(ValueError, match="common algebra"):
+        ModuleHom(COL, col3, ((1, 0), (0, 1)))
+    ident = ModuleHom.identity(COL)
+    for foreign in (Subspace(F2, 3, [(1, 0, 0)]), Subspace(F3, 2, [(1, 0)])):
+        for method in (ident.image_of_subspace, ident.pullback_subspace):
+            with pytest.raises(ValueError, match="does not live in this module"):
+                method(foreign)
+
+
 def test_module_axioms_checked():
     actions = [((1, 0), (0, 1))] * 4
     with pytest.raises(ModuleAxiomError):
