@@ -80,17 +80,18 @@ class PowerTrajectory:
 class Algebra:
     def __init__(self, field: Field, structure, unit, name: str | None = None,
                  check: bool = True):
-        dim = len(structure)
         self.field = field
-        self.dim = dim
+        self.dim = dim = len(structure)
         for i, row in enumerate(structure):
             if len(row) != dim:
                 raise AlgebraAxiomError(f"structure row {i} has {len(row)} cells, expected {dim}")
-        self.structure = tuple(
-            tuple(field.vector(cell, dim, f"product e_{i}*e_{j}") for j, cell in enumerate(row))
-            for i, row in enumerate(structure)
-        )
-        self.unit = field.vector(unit, dim, "unit")
+        try:  # a malformed cell or unit is an axiom error, as a bad row is
+            self.structure = tuple(
+                tuple(field.vector(cell, dim, f"product e_{i}*e_{j}") for j, cell in enumerate(row))
+                for i, row in enumerate(structure))
+            self.unit = field.vector(unit, dim, "unit")
+        except ValueError as exc:
+            raise AlgebraAxiomError(str(exc)) from exc
         self.name = name or f"algebra(dim {dim} over {field!r})"
         one, zero = field.one, field.zero
         # the standard basis e_0, ..., e_(dim-1), and p^dim (None over Q)

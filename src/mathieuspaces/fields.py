@@ -101,7 +101,7 @@ class Field:
             raise ValueError(f"not a residue mod {p}: {a!r}")
         return a % p
 
-    def vector(self, v, n: int, what: str = "vector") -> tuple:
+    def vector(self, v, n: int, what: str) -> tuple:
         """`v` as a canonical vector of F^n, every entry through `check_scalar`;
         the one place that decides what a vector of this field is."""
         try:

@@ -186,8 +186,7 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> tuple:
         """v mod N: the residual of v on the free columns, zero on the pivots."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
+        v = self.field.vector(v, self.ambient_dim, "vector")
         w = [self.field.zero] * self.ambient_dim
         for c, x in zip(self.free, mat_vec(self.field, self.residual, v)):
             w[c] = x

@@ -48,8 +48,11 @@ class ModuleSpace:
         for i, m in enumerate(actions):
             if len(m) != dim:
                 raise ModuleAxiomError(f"action matrix {i} is not {dim} x {dim}")
-        self.actions = tuple(tuple(field.vector(row, dim, "action matrix row") for row in m)
-                             for m in actions)
+        try:  # a malformed row is an axiom error, as a bad matrix count is
+            self.actions = tuple(tuple(field.vector(row, dim, f"action matrix {i} row") for row in m)
+                                 for i, m in enumerate(actions))
+        except ValueError as exc:
+            raise ModuleAxiomError(str(exc)) from exc
         self.name = name or f"module(dim {self.dim} over {algebra.name})"
         # row r*dim + s holds entry (r, s) of every action matrix
         self._action_entries = tuple(zip(*(sum(m, ()) for m in self.actions)))

@@ -203,8 +203,8 @@ def _indexed_witness(algebra, a_idx, power, b=None, c=None):
 def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: dict):
     """Re-validate a negative verdict from scratch; returns (valid, reason).
 
-    Every vector of the witness is normalized as it is read (`Field.vector`;
-    `power_trajectory` normalizes a), so every vector tested is canonical.
+    Every vector of the witness is normalized as it is read (`Field.vector`),
+    so every vector tested is canonical.
     Membership in J has a test of its own: J's view when the brute-force scan
     has already cached one for this algebra and J (it is looked up, never
     built), else elimination against J's basis (`_in_span`).
@@ -223,9 +223,11 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         def contains(v):
             return mem[index_of(v)]
 
+    n = len(basis[0] if basis else next(j.elements()))  # J's ambient dimension
+
     def vector(key):
         v = witness.get(key)
-        return None if v is None else field.vector(v, algebra.dim, f"witness {key}")
+        return None if v is None else field.vector(v, n, f"witness {key}")
 
     kind = witness.get("kind")
     if kind == "ideal":
@@ -249,7 +251,7 @@ def verify_mathieu_witness(algebra: Algebra, j: Subspace, theta: str, witness: d
         m = witness.get("power")
         if type(m) is not int:
             return False, "witness exponent must be an integer"
-        traj = algebra.power_trajectory(witness["a"])  # normalizes a
+        traj = algebra.power_trajectory(vector("a"))
         if not all(map(contains, traj.tail)) or not all(map(contains, traj.cycle)):
             return False, "witness element does not have all powers in the subspace"
         if m <= len(traj.tail):

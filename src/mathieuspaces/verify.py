@@ -681,9 +681,8 @@ def check_functorial_identities(profile: Profile) -> list:
                      for s in range(source.dim)] for r in range(target.dim)]
             phi = ModuleHom(source, target, rows)
             h_space = _random_subspace(rng, target.field, target.dim)
-            theta = _pullback_mismatch(source, target, phi.apply, h_space,
-                                       phi.pullback_subspace(h_space), cap)
-            if theta is not None:
+            pulled = phi.pullback_subspace(h_space)
+            if theta := _pullback_mismatch(source, target, phi.apply, h_space, pulled, cap):
                 return {"source": source.name, "target": target.name, "theta": theta}
             done += 1
 
@@ -733,8 +732,7 @@ def check_functorial_identities(profile: Profile) -> list:
                 for _ in range(3):
                     j_space = _random_subspace(rng, quot.field, quot.dim)
                     pulled = preimage_subspace(algebra.field, proj, j_space, algebra.dim)
-                    theta = _pullback_mismatch(nat_a, nat_b, apply, j_space, pulled, cap)
-                    if theta is not None:
+                    if theta := _pullback_mismatch(nat_a, nat_b, apply, j_space, pulled, cap):
                         return {"algebra": algebra.name, "theta": theta}
 
     return [

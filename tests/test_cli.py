@@ -983,6 +983,24 @@ def test_a_module_element_of_the_wrong_length_is_refused(tmp_path, capsys, u):
     assert message in err
 
 
+def test_a_malformed_action_row_or_structure_cell_is_a_schema_error(tmp_path, capsys):
+    m22 = matrix_algebra(2, 2)
+    algebra = algebra_to_json(m22)
+    algebra["structure"][0][1] = [0, 1, 0]  # a short product e_0*e_1
+    with pytest.raises(SchemaError, match="product e_0\\*e_1 has 3 coordinates, expected 4"):
+        algebra_from_json(algebra)
+    module = module_to_json(column_module(m22, 2))
+    module["actions"][0][1] = [0]  # a short row of the first action matrix
+    message = "action matrix 0 row has 1 coordinates, expected 2"
+    with pytest.raises(SchemaError, match=message):
+        module_from_json(module)
+    (tmp_path / "module.json").write_text(json.dumps(module))
+    (tmp_path / "zero.json").write_text(json.dumps({"ambient": 2, "basis": []}))
+    code, out, err = run_cli(capsys, "is-mathieu", "--module", str(tmp_path / "module.json"),
+                             "--subspace", str(tmp_path / "zero.json"), "--wrt", "[1, 0]")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_omega_field_zero_is_not_the_rationals(capsys):
     code, out, err = run_cli(capsys, "omega", "--alpha", "[1, -1]", "--field", "0")
     assert code == 2 and out == ""

@@ -43,9 +43,8 @@ ALLOWED = frozenset({
     # subspaces: the stored basis and the enumeration of its elements, never
     # the residual map that membership tests read
     "is_full", "elements", "basis",
-    # modules and fields; `vector` normalizes a witness's vectors to the
-    # algebra's `dim`
-    "actions", "field", "p", "vector", "dim",
+    # modules and fields; `vector` normalizes a witness's vectors
+    "actions", "field", "p", "vector",
     # polynomials and evaluation configurations, read as stored
     "coeffs_univariate", "terms", "weights", "points",
     # the field of `MathieuVerdict`, builtin containers, `BoundedMemo` and itertools

@@ -49,7 +49,7 @@ def _revalidated(algebra, witness, key):
 
 # public name -> a function of one vector of F^3 whose answer is compared
 ENTRIES = {
-    "Field.vector": lambda v: F.vector(v, 3),
+    "Field.vector": lambda v: F.vector(v, 3, "vector"),
     "Algebra": lambda v: Algebra(F, (_with_row(UT.structure[0], v),) + UT.structure[1:],
                                  UT.unit, check=False).structure,
     "Algebra.unit": lambda v: Algebra(F, UT.structure, v, check=False).unit,
@@ -58,6 +58,7 @@ ENTRIES = {
     "Algebra.is_nilpotent": UT.is_nilpotent,
     "Algebra.theta_ideal_generated": lambda v: UT.theta_ideal_generated(v, "two"),
     "Subspace": lambda v: Subspace(F, 3, [v, (0, 0, 1)]),
+    "Subspace.reduce": N.reduce,
     "ModuleSpace": lambda v: ModuleSpace(UT, (_with_row(NAT.actions[0], v),) + NAT.actions[1:],
                                          check=False).actions,
     "ModuleSpace.action_matrix": NAT.action_matrix,
@@ -107,3 +108,7 @@ def test_a_fraction_power_trajectory_is_refused_and_a_shifted_witness_revalidate
     assert witness["a"] == (1, 0, 0, 0)
     assert verify_mathieu_witness(algebra, corner, "left", dict(witness, a=(3, 0, 0, 0))) == (
         True, "recurring product escapes the subspace")
+    # every witness vector, a included, is named by its key when refused
+    for key in ("a", "b"):
+        with pytest.raises(ValueError, match=f"witness {key} has 3 coordinates, expected 4"):
+            verify_mathieu_witness(algebra, corner, "left", dict(witness, **{key: (1, 0, 0)}))
