@@ -17,6 +17,7 @@ from .linalg import (
     BoundedMemo,
     EnumerationCapExceeded,
     Subspace,
+    _span,
     enumerate_vectors,
     form_indices,
     index_to_vector,
@@ -306,9 +307,15 @@ class Algebra:
                         yield a, b, c, multiply(ba, c)
 
     def theta_ideal_generated(self, a: Sequence, theta: str) -> Subspace:
-        a = self.field.vector(a, self.dim, "algebra element")
-        multiples = self.theta_multiples([a], normalize_theta(theta))
-        return Subspace(self.field, self.dim, [m for *_, m in multiples])
+        """The span of the theta-multiples of a; the two-sided ideal is the
+        span of the right multiples of the left ideal's basis."""
+        field, dim = self.field, self.dim
+        theta = normalize_theta(theta)
+        gens = [field.vector(a, dim, "algebra element")]
+        for side in ("left", "right") if theta == "two" else (theta,):
+            ideal = _span(field, dim, [m for *_, m in self.theta_multiples(gens, side)])
+            gens = ideal.basis
+        return ideal
 
     def radical_of_subspace(self, j: Subspace, cap: int = DEFAULT_ELEMENT_CAP) -> tuple:
         """All a whose whole power cycle lies in J (tail membership irrelevant)."""

@@ -10,8 +10,10 @@ intersections and preimages over GF(p) and Q alike.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from fractions import Fraction
-from operator import mul as _mul
+from operator import itemgetter, mul as _mul
 from typing import Iterator, Sequence
 
 from .fields import Field, same_field
@@ -362,16 +364,26 @@ def vector_to_index(field: Field, v: Sequence) -> int:
 
 def form_indices(forms, width: int, p: int, values_of: dict) -> list:
     """For every b of F_p^width in index order, the index of the vector whose
-    coordinate t is form t of `forms` at b, sum_j form[j] * b_j mod p.  The
-    index is assembled digit by digit, big-endian like `vector_to_index`;
-    `values_of` keeps the values of each distinct form for the next call."""
-    out = [0] * p ** width
+    coordinate t is form t of `forms` (width forms) at b, sum_j form[j] * b_j
+    mod p.  The index is assembled big-endian like `vector_to_index`, for all
+    b at once: each distinct form's values are packed into one int with a
+    16-bit lane per b, and a row is `packed * p + values` once per form.  No
+    lane carries into the next, since every index is below p^width <= 2^16;
+    a larger p^width is refused.  `values_of` keeps the packed values of each
+    distinct form for the next call."""
+    count = p ** width
+    if count > 1 << 16:
+        raise ValueError(f"{count} indices do not fit in 16-bit lanes")
+    packed = 0
     for form in forms:
         values = values_of.get(form)
         if values is None:
-            values = values_of[form] = _form_values(form, p)
-        out = [r * p + v for r, v in zip(out, values)]
-    return out
+            values = values_of[form] = int.from_bytes(
+                array("H", _form_values(form, p)).tobytes(), sys.byteorder)
+        packed = packed * p + values
+    out = array("H")
+    out.frombytes(packed.to_bytes(2 * count, sys.byteorder))
+    return out.tolist()
 
 
 def _form_values(form: Sequence, p: int) -> list:
@@ -408,15 +420,27 @@ def enumerate_subspaces(field: Field, dim: int, cap: int = DEFAULT_ELEMENT_CAP) 
     yield Subspace.zero(field, dim)
     for k in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), k):
-            pivot_set = set(pivots)
-            # free slots: (row, col) with col past that row's pivot, not a pivot col
-            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim)
-                    if c not in pivot_set]
-            for values in itertools.product(range(p), repeat=len(free)):
-                rows = [[0] * dim for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = 1
-                for (r, c), val in zip(free, values):
-                    rows[r][c] = val
-                yield Subspace._from_canonical(
-                    field, dim, [tuple(r) for r in rows], pivots)
+            # Row r reads the tuple (0, 1, *values): index 1 at its pivot,
+            # 2 + slot at each free slot (a column past the pivot that is no
+            # pivot column), 0 elsewhere.
+            getters, slot = [], 2
+            for r, pivot in enumerate(pivots):
+                picks = [0] * dim
+                picks[pivot] = 1
+                for c in range(pivot + 1, dim):
+                    if c not in pivots:
+                        picks[c] = slot
+                        slot += 1
+                getters.append(_tuple_getter(picks))
+            for values in itertools.product(range(p), repeat=slot - 2):
+                ext = (0, 1, *values)
+                yield Subspace._from_canonical(field, dim, [g(ext) for g in getters], pivots)
+
+
+def _tuple_getter(picks: list):
+    """ext -> tuple(ext[i] for i in picks); `itemgetter` of one index would
+    return a scalar."""
+    if len(picks) == 1:
+        i = picks[0]
+        return lambda ext: (ext[i],)
+    return itemgetter(*picks)

@@ -262,7 +262,9 @@ class ModuleHom:
                         f"map does not commute with the action of basis element {i}")
 
     def apply(self, u: Sequence) -> tuple:
-        return mat_vec(self.source.field, self.matrix, u)
+        source = self.source
+        return mat_vec(source.field, self.matrix,
+                       source.field.vector(u, source.dim, "module element"))
 
     def pullback_subspace(self, h_space: Subspace) -> Subspace:
         """Preimage of a target subspace."""

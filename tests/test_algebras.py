@@ -397,6 +397,21 @@ def test_mult_table_build_multiplies_count_times_dim(monkeypatch):
         == algebra.index_of((2, 1, 4, 3))
 
 
+def test_mult_table_at_the_top_of_its_range():
+    algebra = product_algebra(11, 2)
+    count = algebra.element_count()
+    assert count == 2048
+    table = algebra.mult_table()
+    elems = algebra.element_list()
+    unit, last = algebra.index_of(algebra.unit), count - 1
+    for i in {0, unit, last}:  # the unit of GF(2)^11 is the last element
+        assert table[i] == [algebra.index_of(algebra.multiply(elems[i], b)) for b in elems]
+    rng = random.Random(11)
+    for _ in range(2000):
+        i, j = rng.randrange(count), rng.randrange(count)
+        assert table[i][j] == algebra.index_of(algebra.multiply(elems[i], elems[j]))
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_full_subspace_is_an_ideal_without_a_product(kind, monkeypatch):
     build, size = BUILDERS[kind]

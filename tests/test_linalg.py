@@ -15,6 +15,7 @@ from mathieuspaces.linalg import (
     Subspace,
     enumerate_subspaces,
     enumerate_vectors,
+    form_indices,
     gaussian_binomial,
     mat_mul,
     mat_vec,
@@ -167,6 +168,39 @@ def test_enumerate_subspaces_distinct_and_complete(dim, p):
     for s in seen:
         # canonical: re-normalizing must not change the basis
         assert Subspace(fld, dim, s.basis).basis == s.basis
+
+
+def _loop_enumeration(p, dim):
+    """(basis, pivots) of every subspace, by the per-subspace row-filling loop
+    enumerate_subspaces replaced: the order and bases it must keep."""
+    yield (), ()
+    for k in range(1, dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim)
+                    if c not in pivots]
+            for values in itertools.product(range(p), repeat=len(free)):
+                rows = [[0] * dim for _ in range(k)]
+                for r in range(k):
+                    rows[r][pivots[r]] = 1
+                for (r, c), val in zip(free, values):
+                    rows[r][c] = val
+                yield tuple(tuple(r) for r in rows), pivots
+
+
+@pytest.mark.parametrize("dim,p", [(d, p) for p in (2, 3) for d in range(5)]
+                         + [(d, 5) for d in range(4)] + [(6, 2)])
+def test_enumerate_subspaces_keeps_the_loop_order_and_bases(dim, p):
+    got = [(s.basis, s.pivots) for s in enumerate_subspaces(GF(p), dim)]
+    assert got == list(_loop_enumeration(p, dim))
+    assert all(type(row) is tuple for basis, _ in got for row in basis)
+
+
+def test_form_indices_fills_every_16_bit_lane_and_refuses_wider_ones():
+    identity = [tuple(int(i == j) for j in range(16)) for i in range(16)]
+    assert form_indices(identity, 16, 2, {}) == list(range(1 << 16))
+    for width, p in ((17, 2), (7, 5), (11, 3)):
+        with pytest.raises(ValueError, match="16-bit lanes"):
+            form_indices([], width, p, {})
 
 
 def test_preimage_subspace():

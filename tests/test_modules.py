@@ -197,6 +197,14 @@ def test_a_hom_refuses_a_module_or_subspace_over_another_field_or_dimension():
                 method(foreign)
 
 
+def test_a_hom_applies_only_to_vectors_of_its_source():
+    ident = ModuleHom.identity(COL)
+    assert ident.apply((3, -1)) == (1, 1)
+    for bad in ((1,), (1, 0, 1), (1.5, 0)):
+        with pytest.raises(ValueError):
+            ident.apply(bad)
+
+
 def test_module_axioms_checked():
     actions = [((1, 0), (0, 1))] * 4
     with pytest.raises(ModuleAxiomError):

@@ -9,6 +9,7 @@ criterion walks the idempotents in J, found here as the e with e*e = e.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from mathieuspaces.algebras import (
     truncated_poly,
     upper_triangular,
 )
+from mathieuspaces.fields import QQ
 from mathieuspaces.linalg import Subspace, enumerate_subspaces
 from mathieuspaces.mathieu import is_theta_mathieu_idempotent
 
@@ -95,5 +97,14 @@ def test_deciders_name_the_first_witness_of_the_documented_order(build, subspace
         assert witness == naive_ideal(algebra, j, theta)
         negatives += (witness is not None) + (not verdict.is_mathieu)
     assert negatives  # the order is pinned only where a witness is named
-    for a in [algebra.basis_vector(i) for i in range(algebra.dim)] + [algebra.unit]:
+    for a in algebra.element_list():
         assert algebra.theta_ideal_generated(a, theta) == naive_generated(algebra, a, theta)
+
+
+def test_generated_ideals_over_q_are_the_naive_spans():
+    algebra = upper_triangular(2, QQ)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = tuple(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(algebra.dim))
+        for theta in THETAS:
+            assert algebra.theta_ideal_generated(a, theta) == naive_generated(algebra, a, theta)
